@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .graphs import (
+    CactusProfile,
     Graph,
+    GraphStats,
     bits,
     cactus_profile,
     complement,
@@ -27,11 +30,13 @@ from .graphs import (
     delete_edge,
     induced_subgraph,
     kronecker,
+    move_neighbors,
     stats,
 )
 from .partitions import Partition, quotient_eigenvalues, quotient_matrix
 from .spectral import (
     EXACT_ORDER_CAP,
+    EnergyProfile,
     Spectrum,
     char_poly_exact,
     eigenvalues,
@@ -44,6 +49,7 @@ from .spectral import (
 
 __all__ = [
     "CONCLUSIVE_TOL",
+    "GraphFacts",
     "BoundCertificate",
     "PairBound",
     "EdgeDeletionBound",
@@ -77,6 +83,47 @@ __all__ = [
 CONCLUSIVE_TOL = 1e-9
 
 
+class GraphFacts:
+    """Per-graph invariants the certificate rules share, each computed on
+    first use and at most once.  Build one per graph and drop it after:
+    facts kept for a whole corpus would keep every spectrum alive.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    @cached_property
+    def stats(self) -> GraphStats:
+        return stats(self.graph)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return eigenvalues(self.graph)
+
+    @cached_property
+    def profile(self) -> EnergyProfile:
+        return energy_profile(self.spectrum)
+
+    @cached_property
+    def exact_zero(self) -> Optional[int]:
+        """Exact multiplicity of eigenvalue 0; None above the exact cap."""
+        if self.graph.n > EXACT_ORDER_CAP:
+            return None
+        return char_poly_exact(self.graph).zero_root_multiplicity()
+
+    @cached_property
+    def complement_components(self) -> list[int]:
+        return component_masks(complement(self.graph))
+
+    @cached_property
+    def cactus(self) -> CactusProfile:
+        return cactus_profile(self.graph)
+
+
+def _facts(g: Graph | GraphFacts) -> GraphFacts:
+    return g if isinstance(g, GraphFacts) else GraphFacts(g)
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """A checkable claim: the named rule proves target >= bound_value.
@@ -92,6 +139,10 @@ class BoundCertificate:
     bound_value: float
     witness: dict
     conclusive: bool
+
+    def covers(self, target: str) -> bool:
+        """Whether this certificate alone proves the n - 1 floor for target."""
+        return self.conclusive and self.target in (target, "both")
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,17 +176,17 @@ class PairBound:
 # average degree and spanning structures
 
 
-def check_avg_degree(g: Graph) -> Optional[BoundCertificate]:
+def check_avg_degree(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     """Certify s_plus >= avg_degree^2 when that already reaches n - 1.
 
     The mean degree is a convex combination bound on the largest
     eigenvalue, so lam_1^2 alone carries the claim.  The firing test
     4 m^2 >= n^2 (n - 1) is exact integer arithmetic.
     """
-    st = stats(g)
-    if not st.connected:
+    f = _facts(g)
+    if not f.stats.connected:
         raise ValueError("average degree bound assumes a connected graph")
-    n, m = g.n, g.m
+    n, m = f.stats.n, f.stats.m
     if 4 * m * m < n * n * (n - 1):
         return None
     dbar = 2.0 * m / n
@@ -190,13 +241,13 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     return best
 
 
-def _balanced_complement_split(g: Graph) -> Optional[tuple[list[int], list[int]]]:
+def _balanced_complement_split(f: GraphFacts) -> Optional[tuple[list[int], list[int]]]:
     """A join split (all cross edges present), roughly balanced, if one exists.
 
     Cross-complete cuts are exactly the cuts that complement components
     never straddle, so group those components greedily by size.
     """
-    comps = component_masks(complement(g))
+    comps = f.complement_components
     if len(comps) < 2:
         return None
     sides = [0, 0]
@@ -208,7 +259,7 @@ def _balanced_complement_split(g: Graph) -> Optional[tuple[list[int], list[int]]
     return sorted(bits(sides[0])), sorted(bits(sides[1]))
 
 
-def check_spanning_structures(g: Graph) -> list[BoundCertificate]:
+def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
     """Certificates from spanning structure: dominating vertex, spanning
     complete bipartite subgraph, large clique.
 
@@ -217,13 +268,15 @@ def check_spanning_structures(g: Graph) -> list[BoundCertificate]:
     K_{r, n-r} gives r (n - r), and a clique K_{r+1} gives r^2 which is
     useful once r >= sqrt(n - 1).
     """
+    f = _facts(g)
+    g = f.graph
     n = g.n
     out = []
     for v in range(n):
         if g.degree(v) == n - 1 and n >= 2:
             out.append(_certificate("dominating_vertex", "s_plus", n - 1, {"vertex": v}, n))
             break
-    split = _balanced_complement_split(g)
+    split = _balanced_complement_split(f)
     if split is not None:
         r = len(split[0])
         out.append(
@@ -260,7 +313,7 @@ def _validate_join_split(g: Graph, side_a: Sequence[int], side_b: Sequence[int])
 
 
 def check_join(
-    g: Graph, split: Optional[tuple[Sequence[int], Sequence[int]]] = None
+    g: Graph | GraphFacts, split: Optional[tuple[Sequence[int], Sequence[int]]] = None
 ) -> Optional[BoundCertificate]:
     """Certify s_plus >= n - 1 when g is a join of two non-empty graphs.
 
@@ -268,8 +321,10 @@ def check_join(
     complement (a graph is a join iff its complement is disconnected).
     A supplied split is validated edge by edge.
     """
+    f = _facts(g)
+    g = f.graph
     if split is None:
-        found = _balanced_complement_split(g)
+        found = _balanced_complement_split(f)
         if found is None:
             return None
         side_a, side_b = found
@@ -280,7 +335,7 @@ def check_join(
 
 
 def check_self_join(
-    g: Graph, split: Optional[tuple[Sequence[int], Sequence[int]]] = None
+    g: Graph | GraphFacts, split: Optional[tuple[Sequence[int], Sequence[int]]] = None
 ) -> Optional[BoundCertificate]:
     """Certify both energies for balanced joins of two equally dense halves.
 
@@ -289,6 +344,8 @@ def check_self_join(
     then has lambda_minus = d - r, so s_minus >= (r - d)^2 >= r^2/4 >=
     2r - 1 = n - 1, and the join itself covers s_plus >= n - 1.
     """
+    f = _facts(g)
+    g = f.graph
     n = g.n
     if n % 2:
         return None
@@ -299,7 +356,7 @@ def check_self_join(
     if split is not None:
         candidates = [(sorted(split[0]), sorted(split[1]))]
     else:
-        comps = sorted(component_masks(complement(g)), key=lambda c: (c.bit_count(), c))
+        comps = sorted(f.complement_components, key=lambda c: (c.bit_count(), c))
         if len(comps) < 2 or len(comps) > 12:
             return None
         candidates = []
@@ -425,13 +482,7 @@ def moving_neighbors_bound(
     and the whole of N(v) is being moved.
     """
     ws = sorted(set(w_set))
-    for w in ws:  # validate the move itself (raises on a bad w)
-        if w == u or w == v or not (0 <= w < g.n):
-            raise ValueError(f"moved vertex {w} must be distinct from u and v")
-        if not g.has_edge(v, w):
-            raise ValueError(f"moved vertex {w} is not a neighbour of {v}")
-        if g.has_edge(u, w):
-            raise ValueError(f"moved vertex {w} is already a neighbour of {u}")
+    move_neighbors(g, u, v, ws)  # validates the move; raises on a bad pair or w
     spec = eigenvalues(g)
     prof = energy_profile(spec)
     lam1 = spec.values[0]
@@ -442,12 +493,10 @@ def moving_neighbors_bound(
     closed_u = g.rows[u] | (1 << u)
     if nv & closed_u == 0 and sum(1 << w for w in ws) == nv:
         strong = "whole_neighbourhood_disjoint"
-    else:
-        st = stats(g)
-        if st.connected and g.m >= 1:
-            _, x = perron_vector(g)
-            if x[u] >= x[v] - 1e-12 * float(np.max(np.abs(x))):
-                strong = "perron_weight"
+    elif stats(g).connected and g.m >= 1:
+        _, x = perron_vector(g)
+        if x[u] >= x[v] - 1e-12 * float(np.max(np.abs(x))):
+            strong = "perron_weight"
     return MovingNeighborsBound(
         s_plus_lower_weak=prof.s_plus - lam1 * lam1,
         s_plus_lower_strong=(prof.s_plus - lam2 * lam2) if strong else None,
@@ -466,13 +515,13 @@ def induced_subgraph_bound(g: Graph, s: Iterable[int]) -> PairBound:
     return PairBound(prof.s_plus, prof.s_minus)
 
 
-def _greedy_odd_cycle_deletions(g: Graph) -> Optional[list[int]]:
+def _greedy_odd_cycle_deletions(f: GraphFacts) -> Optional[list[int]]:
     """Vertices whose removal kills every odd cycle of a cactus.
 
     Prefers vertices shared by many odd cycles; one third of each odd
     cycle's length is untouchable anyway, so greed is plenty here.
     """
-    prof = cactus_profile(g)
+    prof = f.cactus
     if not prof.is_cactus:
         return None
     odd = [set(c) for c in prof.cycles if len(c) % 2]
@@ -489,7 +538,7 @@ def _greedy_odd_cycle_deletions(g: Graph) -> Optional[list[int]]:
 
 
 def induced_bipartite_bound(
-    g: Graph, deletions: Optional[Iterable[int]] = None
+    g: Graph | GraphFacts, deletions: Optional[Iterable[int]] = None
 ) -> Optional[BoundCertificate]:
     """Certify both energies from a bipartite induced subgraph.
 
@@ -500,12 +549,13 @@ def induced_bipartite_bound(
     rule reports inapplicability.  The coarser estimate
     |E| - |S| * max_degree is recorded alongside for comparison.
     """
-    st = stats(g)
+    f = _facts(g)
+    g, st = f.graph, f.stats
     if deletions is None:
         if st.bipartite:
             dels: list[int] = []
         elif st.connected:
-            found = _greedy_odd_cycle_deletions(g)
+            found = _greedy_odd_cycle_deletions(f)
             if found is None:
                 return None
             dels = found
@@ -515,8 +565,7 @@ def induced_bipartite_bound(
         dels = sorted(set(deletions))
     keep = [v for v in range(g.n) if v not in set(dels)]
     h = induced_subgraph(g, keep)
-    hstats = stats(h)
-    if not hstats.bipartite:
+    if not stats(h).bipartite:
         raise ValueError(f"deleting {dels} does not leave a bipartite graph")
     bound = h.m
     coarse = g.m - len(dels) * st.max_degree
@@ -572,16 +621,16 @@ class UnicyclicFractionalBound:
     sharp_bound: float
 
 
-def unicyclic_fractional_bound(g: Graph) -> Optional[UnicyclicFractionalBound]:
+def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[UnicyclicFractionalBound]:
     """Both square energies of a unicyclic graph with odd cycle 2m+1 (m >= 2)
     are at least 2mn/(2m+1); for m >= m0(n) the sharper cosine bound
     already reaches n - 1.  Returns None outside those hypotheses.
     """
-    n = g.n
-    st = stats(g)
-    if not st.connected or g.m != n:
+    f = _facts(g)
+    n, st = f.graph.n, f.stats
+    if not st.connected or st.m != n:
         return None
-    prof = cactus_profile(g)
+    prof = f.cactus
     if len(prof.cycles) != 1:
         return None
     length = len(prof.cycles[0])
@@ -623,7 +672,7 @@ class MajorizationReport:
 
 
 def majorization_two_positive(
-    g: Graph,
+    g: Graph | GraphFacts,
 ) -> Optional[tuple[MajorizationReport, BoundCertificate]]:
     """For connected graphs with exactly two positive eigenvalues, the
     positive part majorizes the absolute negative part, forcing
@@ -633,20 +682,19 @@ def majorization_two_positive(
     cap, cross-checked against the integer characteristic polynomial's
     zero-root multiplicity.  Returns None when the shape does not apply.
     """
-    st = stats(g)
-    if not st.connected:
+    f = _facts(g)
+    g = f.graph
+    if not f.stats.connected:
         return None
-    spec = eigenvalues(g)
-    inert = inertia_of(spec)
+    spec = f.spectrum
+    inert = f.profile.inertia
     if inert.positive != 2:
         return None
-    if g.n <= EXACT_ORDER_CAP:
-        exact_zero = char_poly_exact(g).zero_root_multiplicity()
-        if exact_zero != inert.zero:
-            raise ArithmeticError(
-                f"tolerance classified {inert.zero} zero eigenvalues, "
-                f"exact polynomial says {exact_zero}"
-            )
+    if f.exact_zero is not None and f.exact_zero != inert.zero:
+        raise ArithmeticError(
+            f"tolerance classified {inert.zero} zero eigenvalues, "
+            f"exact polynomial says {f.exact_zero}"
+        )
     nu = inert.negative
     mu = tuple(spec.values[:2]) + (0.0,) * (nu - 2) if nu >= 2 else tuple(spec.values[:nu])
     theta = tuple(abs(t) for t in spec.values[::-1][:nu])
@@ -672,20 +720,21 @@ def majorization_two_positive(
     return report, cert
 
 
-def energy_count_bound(g: Graph) -> PairBound:
+def energy_count_bound(g: Graph | GraphFacts) -> PairBound:
     """Cauchy-Schwarz floors: s_plus >= E^2/(4 pi), s_minus >= E^2/(4 nu).
 
     E is the graph energy; pi/nu are the positive/negative eigenvalue
     counts.  Needs at least one edge so both counts are positive.
     """
-    if g.m == 0:
+    f = _facts(g)
+    if f.stats.m == 0:
         raise ValueError("energy count bound needs at least one edge")
-    prof = graph_profile(g)
+    prof = f.profile
     e2 = prof.energy * prof.energy
     return PairBound(e2 / (4.0 * prof.inertia.positive), e2 / (4.0 * prof.inertia.negative))
 
 
-def rank_bound(g: Graph) -> Optional[BoundCertificate]:
+def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     """Rank pigeonhole: few eigenvalues of one sign force a big square sum.
 
     With r = rank(A), the nonzero eigenvalues have product at least 1 in
@@ -693,16 +742,14 @@ def rank_bound(g: Graph) -> Optional[BoundCertificate]:
     pi <= r^2/(4(n-1)) (and symmetrically for s_minus).  One certificate
     is returned covering whichever targets fire.
     """
-    st = stats(g)
-    if not st.connected:
+    f = _facts(g)
+    g = f.graph
+    if not f.stats.connected:
         raise ValueError("rank bound assumes a connected graph")
     if g.n < 3:
         raise ValueError(f"rank bound assumes order >= 3, got {g.n}")
-    spec = eigenvalues(g)
-    inert = inertia_of(spec)
-    r = g.n - char_poly_exact(g).zero_root_multiplicity() if g.n <= EXACT_ORDER_CAP else (
-        inert.positive + inert.negative
-    )
+    inert = f.profile.inertia
+    r = inert.positive + inert.negative if f.exact_zero is None else g.n - f.exact_zero
     gate = r * r / (4.0 * (g.n - 1))
     plus_fires = inert.positive <= gate
     minus_fires = inert.negative <= gate
@@ -808,91 +855,76 @@ def h3n_quotient_analysis(n: int) -> H3nAnalysis:
 # certification pipeline
 
 
-def certify(g: Graph, rules: Optional[Iterable[str]] = None) -> list[BoundCertificate]:
+def _odd_cycle_certificates(f: GraphFacts) -> list[BoundCertificate]:
+    rec = unicyclic_fractional_bound(f)
+    if rec is None:
+        return []
+    witness = {
+        "m": rec.m,
+        "cycle_length": 2 * rec.m + 1,
+        "base_bound": rec.base_bound,
+        "sharp_bound": rec.sharp_bound,
+    }
+    return [_certificate("odd_cycle", "both", rec.bound, witness, f.graph.n)]
+
+
+def _two_positive_certificates(f: GraphFacts) -> list[BoundCertificate]:
+    pair = majorization_two_positive(f)
+    return [pair[1]] if pair else []
+
+
+def _energy_certificates(f: GraphFacts) -> list[BoundCertificate]:
+    pb = energy_count_bound(f)
+    n = f.graph.n
+    return [
+        _certificate("energy", target, bound, {key: bound}, n)
+        for target, bound, key in (
+            ("s_plus", pb.s_plus_lower, "energy_sq_over_4pi"),
+            ("s_minus", pb.s_minus_lower, "energy_sq_over_4nu"),
+        )
+        if bound >= n - 1 - CONCLUSIVE_TOL
+    ]
+
+
+# The certify sweep, in output order: the rule names a check can emit,
+# and the check, which returns a list of certificates (None where a rule
+# did not fire).  The lambdas look the rule functions up at call time,
+# so wrappers installed on this module see every call the sweep makes.
+_SWEEP = (
+    (("avg_degree",), lambda f: [check_avg_degree(f)]),
+    (("dominating_vertex", "complete_bipartite_span", "clique"), lambda f: check_spanning_structures(f)),
+    (("join",), lambda f: [check_join(f)]),
+    (("self_join",), lambda f: [check_self_join(f)]),
+    (("induced_bipartite",), lambda f: [induced_bipartite_bound(f)]),
+    (("odd_cycle",), _odd_cycle_certificates),
+    (("two_positive",), _two_positive_certificates),
+    (("rank",), lambda f: [rank_bound(f) if f.graph.n >= 3 else None]),
+    (("energy",), lambda f: _energy_certificates(f) if f.stats.m else []),
+)
+
+CERTIFY_RULES = tuple(name for names, _ in _SWEEP for name in names)
+
+
+def certify(g: Graph | GraphFacts, rules: Optional[Iterable[str]] = None) -> list[BoundCertificate]:
     """Run every self-contained certificate rule against one graph.
 
     Rules that need caller-supplied structure (factorizations, explicit
-    cuts, moves) are not part of this sweep.  ``rules`` filters by name.
-    Assumes a connected graph, as the n - 1 floor does.
+    cuts, moves) are not part of this sweep.  ``rules`` filters by name
+    and must name only members of :data:`CERTIFY_RULES`.  Assumes a
+    connected graph, as the n - 1 floor does.
     """
-    st = stats(g)
-    if not st.connected or g.n == 0:
+    wanted = set(CERTIFY_RULES if rules is None else rules)
+    unknown = wanted.difference(CERTIFY_RULES)
+    if unknown:
+        raise ValueError(
+            f"unknown rule(s) {', '.join(sorted(unknown))}; "
+            f"available: {', '.join(CERTIFY_RULES)}"
+        )
+    f = _facts(g)
+    if not f.stats.connected or f.graph.n == 0:
         raise ValueError("certification assumes a non-empty connected graph")
-    wanted = set(rules) if rules is not None else None
     out: list[BoundCertificate] = []
-
-    def want(name: str) -> bool:
-        return wanted is None or name in wanted
-
-    if want("avg_degree"):
-        cert = check_avg_degree(g)
-        if cert:
-            out.append(cert)
-    if want("dominating_vertex") or want("complete_bipartite_span") or want("clique"):
-        for cert in check_spanning_structures(g):
-            if want(cert.rule):
-                out.append(cert)
-    if want("join"):
-        cert = check_join(g)
-        if cert:
-            out.append(cert)
-    if want("self_join"):
-        cert = check_self_join(g)
-        if cert:
-            out.append(cert)
-    if want("induced_bipartite"):
-        cert = induced_bipartite_bound(g)
-        if cert:
-            out.append(cert)
-    if want("odd_cycle"):
-        rec = unicyclic_fractional_bound(g)
-        if rec:
-            out.append(
-                _certificate(
-                    "odd_cycle",
-                    "both",
-                    rec.bound,
-                    {
-                        "m": rec.m,
-                        "cycle_length": 2 * rec.m + 1,
-                        "base_bound": rec.base_bound,
-                        "sharp_bound": rec.sharp_bound,
-                    },
-                    g.n,
-                )
-            )
-    if want("two_positive"):
-        pair = majorization_two_positive(g)
-        if pair:
-            out.append(pair[1])
-    if want("rank") and g.n >= 3:
-        cert = rank_bound(g)
-        if cert:
-            out.append(cert)
-    if want("energy") and g.m >= 1:
-        pb = energy_count_bound(g)
-        n = g.n
-        if pb.s_plus_lower >= n - 1 - CONCLUSIVE_TOL:
-            out.append(
-                _certificate("energy", "s_plus", pb.s_plus_lower, {"energy_sq_over_4pi": pb.s_plus_lower}, n)
-            )
-        if pb.s_minus_lower >= n - 1 - CONCLUSIVE_TOL:
-            out.append(
-                _certificate("energy", "s_minus", pb.s_minus_lower, {"energy_sq_over_4nu": pb.s_minus_lower}, n)
-            )
+    for names, check in _SWEEP:
+        if not wanted.isdisjoint(names):
+            out.extend(cert for cert in check(f) if cert and cert.rule in wanted)
     return out
-
-
-CERTIFY_RULES = (
-    "avg_degree",
-    "dominating_vertex",
-    "complete_bipartite_span",
-    "clique",
-    "join",
-    "self_join",
-    "induced_bipartite",
-    "odd_cycle",
-    "two_positive",
-    "rank",
-    "energy",
-)

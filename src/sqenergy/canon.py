@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Equitable refinement preserving cell order.
 
     Repeatedly splits every cell by the vector of neighbour counts into
@@ -101,7 +101,7 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ..
 
     def descend(cells: list[tuple[int, ...]], prefix: tuple[int, ...]) -> None:
         nonlocal best_bits, best_perm
-        cells = _refine(rows, cells)
+        cells = refine(rows, cells)
         target = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:

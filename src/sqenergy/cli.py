@@ -16,7 +16,7 @@ import os
 import sys
 from typing import IO, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, certify
+from .bounds import CERTIFY_RULES, GraphFacts, certify
 from .enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
 from .families import FAMILIES, generate_family
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
@@ -189,15 +189,12 @@ def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
     rules = _parse_rules(args.rules)
     for g in _input_graphs(args):
         g6 = to_graph6(g)
-        certs = certify(g, rules=rules)
-        prof = graph_profile(g)
+        facts = GraphFacts(g)
+        certs = certify(facts, rules=rules)
+        prof = facts.profile
         floor = g.n - 1
-        plus_ok = any(
-            c.conclusive and c.target in ("s_plus", "both") for c in certs
-        )
-        minus_ok = any(
-            c.conclusive and c.target in ("s_minus", "both") for c in certs
-        )
+        plus_ok = any(c.covers("s_plus") for c in certs)
+        minus_ok = any(c.covers("s_minus") for c in certs)
         if args.json:
             print(
                 json.dumps(

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .canon import refine
 from .graphs import Graph, bits
 from .spectral import Spectrum, spectrum_from_values
 
@@ -150,28 +151,7 @@ def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
     """
     if seed.n != g.n:
         raise ValueError(f"partition covers {seed.n} vertices, graph has {g.n}")
-    blocks = [tuple(b) for b in seed.blocks]
-    while True:
-        masks = [sum(1 << v for v in block) for block in blocks]
-        new_blocks: list[tuple[int, ...]] = []
-        changed = False
-        for block in blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in block:
-                sig = tuple((g.rows[v] & mask).bit_count() for mask in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_blocks.append(block)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_blocks.append(tuple(groups[sig]))
-        blocks = new_blocks
-        if not changed:
-            break
+    blocks = refine(g.rows, [tuple(b) for b in seed.blocks])
     blocks.sort(key=lambda b: (len(b), b[0]))
     return Partition(tuple(blocks))
 

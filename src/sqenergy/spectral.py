@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, component_masks
 
 __all__ = [
     "Spectrum",
@@ -136,19 +136,9 @@ def perron_vector(g: Graph) -> tuple[float, np.ndarray]:
     n = g.n
     if n == 0 or g.m == 0:
         raise ValueError("perron vector needs a connected graph with an edge")
-    a = g.adjacency_matrix()
-    reach = 1
-    frontier = 1
-    while True:
-        grow = reach
-        for u in bits(frontier):
-            grow |= g.rows[u]
-        if grow == reach:
-            break
-        frontier = grow & ~reach
-        reach = grow
-    if reach != (1 << n) - 1:
+    if len(component_masks(g)) != 1:
         raise ValueError("perron vector needs a connected graph")
+    a = g.adjacency_matrix()
     x = np.ones(n) / np.sqrt(n)
     for _ in range(200_000):
         ax = a @ x

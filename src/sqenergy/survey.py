@@ -14,7 +14,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, CONCLUSIVE_TOL, certify, m0_threshold
+from .bounds import CERTIFY_RULES, CONCLUSIVE_TOL, GraphFacts, certify, m0_threshold
 from .graphs import Graph, add_leaf, stats, to_graph6
 from .spectral import graph_profile
 
@@ -274,6 +274,7 @@ def certify_corpus(
     graphs: Iterable[Graph], rules: Optional[Iterable[str]] = None
 ) -> CoverageReport:
     """Run the certificate pipeline over a corpus and tally coverage."""
+    rules = None if rules is None else tuple(rules)
     fired = {r: 0 for r in CERTIFY_RULES}
     conclusive = {r: 0 for r in CERTIFY_RULES}
     total = 0
@@ -282,17 +283,15 @@ def certify_corpus(
     min_slack = math.inf
     for g in graphs:
         total += 1
-        prof = graph_profile(g)
+        facts = GraphFacts(g)
+        prof = facts.profile
         min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (g.n - 1))
-        plus_ok = minus_ok = False
-        for cert in certify(g, rules=rules):
+        certs = certify(facts, rules=rules)
+        for cert in certs:
             fired[cert.rule] += 1
-            if cert.conclusive:
-                conclusive[cert.rule] += 1
-                if cert.target in ("s_plus", "both"):
-                    plus_ok = True
-                if cert.target in ("s_minus", "both"):
-                    minus_ok = True
+            conclusive[cert.rule] += cert.conclusive
+        plus_ok = any(c.covers("s_plus") for c in certs)
+        minus_ok = any(c.covers("s_minus") for c in certs)
         covered_plus += plus_ok
         covered_minus += minus_ok
         covered_both += plus_ok and minus_ok

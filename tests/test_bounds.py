@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given
 
 from _strategies import graphs
+import sqenergy.bounds as bounds_module
+import sqenergy.spectral as spectral_module
 from sqenergy.bounds import (
     CERTIFY_RULES,
     CONCLUSIVE_TOL,
+    GraphFacts,
     certify,
     check_avg_degree,
     check_join,
@@ -240,6 +243,14 @@ class TestMovingNeighbors:
         with pytest.raises(ValueError, match="already a neighbour"):
             moving_neighbors_bound(g, 1, 3, [2])
 
+    def test_empty_move_with_equal_pair_rejected(self):
+        with pytest.raises(ValueError, match="invalid vertex pair"):
+            moving_neighbors_bound(path_graph(4), 1, 1, [])
+
+    def test_out_of_range_pair_rejected(self):
+        with pytest.raises(ValueError, match="invalid vertex pair"):
+            moving_neighbors_bound(path_graph(4), 9, 1, [2])
+
     @given(graphs(max_n=8))
     def test_weak_bound_sound_for_single_moves(self, g):
         if g.m == 0:
@@ -452,6 +463,25 @@ class TestCertifyPipeline:
         with pytest.raises(ValueError, match="connected"):
             certify(two_triangles())
 
+    def test_rule_names_and_order(self):
+        assert CERTIFY_RULES == (
+            "avg_degree",
+            "dominating_vertex",
+            "complete_bipartite_span",
+            "clique",
+            "join",
+            "self_join",
+            "induced_bipartite",
+            "odd_cycle",
+            "two_positive",
+            "rank",
+            "energy",
+        )
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown rule.*bogus.*available: avg_degree"):
+            certify(complete_graph(4), rules=["clique", "bogus"])
+
     def test_rule_filter(self):
         g = complete_graph(4)
         certs = certify(g, rules=["avg_degree"])
@@ -491,3 +521,55 @@ class TestCertifyPipeline:
             assert cert.bound_value <= truth[cert.target] + 1e-8
             if cert.conclusive:
                 assert cert.bound_value >= g.n - 1 - CONCLUSIVE_TOL
+
+
+class TestGraphFacts:
+    SAMPLES = [
+        complete_graph(4),
+        cycle_graph(5),
+        star_graph(7),
+        path_graph(6),
+        complete_bipartite_graph(3, 4),
+        extended_barbell_graph(3),
+    ]
+
+    @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_one_certify_call_computes_each_invariant_once(self, g, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("eigenvalues", "char_poly_exact", "component_masks", "cactus_profile"):
+            count(bounds_module, name)
+        count(spectral_module, "eigenvalues")  # reached through graph_profile
+        certify(g)
+        assert calls and max(calls.values()) == 1, calls
+
+    @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_rules_agree_on_graph_and_facts(self, g):
+        rules = [
+            check_avg_degree,
+            check_spanning_structures,
+            check_join,
+            check_self_join,
+            induced_bipartite_bound,
+            unicyclic_fractional_bound,
+            majorization_two_positive,
+            rank_bound,
+            energy_count_bound,
+        ]
+        facts = GraphFacts(g)
+        for rule in rules:
+            assert rule(facts) == rule(g), rule.__name__
+        assert certify(facts) == certify(g)
+
+    def test_exact_zero_is_none_above_the_cap(self):
+        assert GraphFacts(star_graph(5)).exact_zero == 3
+        assert GraphFacts(path_graph(65)).exact_zero is None

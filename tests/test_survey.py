@@ -113,11 +113,41 @@ class TestCoverage:
         assert fired <= {"avg_degree"}
         assert report.per_rule["avg_degree"].conclusive <= report.per_rule["avg_degree"].fired
 
+    def test_unknown_rule_rejected(self, small_corpus):
+        with pytest.raises(ValueError, match="unknown rule.*bogus"):
+            certify_corpus(small_corpus, rules=["bogus"])
+
+    def test_one_shot_rule_iterable_applies_to_every_graph(self, small_corpus):
+        once = certify_corpus(small_corpus, rules=iter(["avg_degree"]))
+        listed = certify_corpus(small_corpus, rules=["avg_degree"])
+        assert once == listed
+
     def test_every_uncertified_tag_decodes(self, small_corpus):
         report = certify_corpus(small_corpus)
         for tag in report.uncertified:
             g = from_graph6(tag)
             assert 2 <= g.n <= 5
+
+
+def test_coverage_through_order_seven_is_pinned(connected_by_order):
+    corpus = [g for n in range(1, 8) for g in connected_by_order[n]]
+    report = certify_corpus(corpus)
+    assert report.total == 996
+    assert (report.covered_plus, report.covered_minus, report.covered_both) == (973, 883, 880)
+    assert len(report.uncertified) == 116
+    assert {rule: (cov.fired, cov.conclusive) for rule, cov in report.per_rule.items()} == {
+        "avg_degree": (860, 860),
+        "dominating_vertex": (208, 208),
+        "complete_bipartite_span": (256, 256),
+        "clique": (367, 367),
+        "join": (256, 256),
+        "self_join": (0, 0),
+        "induced_bipartite": (132, 78),
+        "odd_cycle": (7, 7),
+        "two_positive": (323, 323),
+        "rank": (41, 41),
+        "energy": (1766, 1766),
+    }
 
 
 class TestProfiles:
