@@ -42,7 +42,6 @@ from .spectral import (
     eigenvalues,
     energy_profile,
     graph_profile,
-    inertia_of,
     perron_vector,
     spectrum_from_values,
 )
@@ -443,10 +442,9 @@ def edge_deletion_bound(g: Graph, e: tuple[int, int]) -> Optional[EdgeDeletionBo
     """
     h = delete_edge(g, e)
     spec = eigenvalues(h)
-    inert = inertia_of(spec)
-    if inert.positive < 2 or inert.negative < 2:
-        return None
     prof = energy_profile(spec)
+    if prof.inertia.positive < 2 or prof.inertia.negative < 2:
+        return None
     theta2 = spec.values[1]
     thetan = spec.values[-1]
     return EdgeDeletionBound(
@@ -905,6 +903,18 @@ _SWEEP = (
 CERTIFY_RULES = tuple(name for names, _ in _SWEEP for name in names)
 
 
+def _wanted_rules(rules: Optional[Iterable[str]]) -> frozenset[str]:
+    """The rule names to run; raises ValueError naming any unknown ones."""
+    wanted = frozenset(CERTIFY_RULES if rules is None else rules)
+    unknown = wanted.difference(CERTIFY_RULES)
+    if unknown:
+        raise ValueError(
+            f"unknown rule(s) {', '.join(sorted(unknown))}; "
+            f"available: {', '.join(CERTIFY_RULES)}"
+        )
+    return wanted
+
+
 def certify(g: Graph | GraphFacts, rules: Optional[Iterable[str]] = None) -> list[BoundCertificate]:
     """Run every self-contained certificate rule against one graph.
 
@@ -913,13 +923,7 @@ def certify(g: Graph | GraphFacts, rules: Optional[Iterable[str]] = None) -> lis
     and must name only members of :data:`CERTIFY_RULES`.  Assumes a
     connected graph, as the n - 1 floor does.
     """
-    wanted = set(CERTIFY_RULES if rules is None else rules)
-    unknown = wanted.difference(CERTIFY_RULES)
-    if unknown:
-        raise ValueError(
-            f"unknown rule(s) {', '.join(sorted(unknown))}; "
-            f"available: {', '.join(CERTIFY_RULES)}"
-        )
+    wanted = _wanted_rules(rules)
     f = _facts(g)
     if not f.stats.connected or f.graph.n == 0:
         raise ValueError("certification assumes a non-empty connected graph")

@@ -10,7 +10,9 @@ largest adjacency bitstring over all discrete leaves wins.  Two leaves
 with equal bitstrings reveal an automorphism, and the orbits of the
 automorphisms found so far prune sibling branches, which keeps highly
 symmetric graphs (cliques, stars, unions of twins) from exploding into
-factorial subtrees.
+factorial subtrees.  The automorphisms a search finds generate a subgroup
+of the automorphism group, not always all of it; ``canonical_pair`` hands
+them out for callers that only use them to skip equivalent work.
 """
 
 from __future__ import annotations
@@ -91,10 +93,12 @@ class _Orbits:
             self.parent[rb] = ra
 
 
-def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Best (max) leaf bitstring and the labelling that produces it."""
+def _canonical_search(
+    n: int, rows: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """Best (max) leaf bitstring, the labelling that produces it, and the automorphisms met."""
     if n == 0:
-        return 0, ()
+        return 0, (), []
     best_bits = -1
     best_perm: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
@@ -143,28 +147,45 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ..
             descend(head + [(v,), rest] + tail, prefix + (v,))
 
     descend([tuple(range(n))], ())
-    return best_bits, best_perm
+    return best_bits, best_perm, autos
+
+
+def _key(n: int, leaf: int) -> bytes:
+    nbits = n * (n - 1) // 2
+    return n.to_bytes(4, "big") + leaf.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical key: order header plus the maximal adjacency bitstring."""
-    leaf, _ = _canonical_search(g.n, g.rows)
-    nbits = g.n * (g.n - 1) // 2
-    return g.n.to_bytes(4, "big") + leaf.to_bytes((nbits + 7) // 8 or 1, "big")
+    leaf, _, _ = _canonical_search(g.n, g.rows)
+    return _key(g.n, leaf)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labelled copy of g."""
-    _, perm = _canonical_search(g.n, g.rows)
+    _, perm, _ = _canonical_search(g.n, g.rows)
     return relabel(g, perm) if g.n else g
 
 
-def canonical_pair(g: Graph) -> tuple[bytes, Graph]:
-    """Canonical key and relabelled graph from a single search."""
-    leaf, perm = _canonical_search(g.n, g.rows)
-    nbits = g.n * (g.n - 1) // 2
-    key = g.n.to_bytes(4, "big") + leaf.to_bytes((nbits + 7) // 8 or 1, "big")
-    return key, (relabel(g, perm) if g.n else g)
+def canonical_pair(g: Graph, automorphisms: bool = False) -> tuple:
+    """Canonical key and relabelled graph from a single search.
+
+    With ``automorphisms=True`` the same search also returns ``labels``,
+    where ``labels[v]`` is the vertex of the canonical graph that g's
+    vertex v becomes, and the automorphisms it found, as permutations of
+    the canonical graph's vertices: ``(key, canon, labels, generators)``.
+    They generate a subgroup of the automorphism group, possibly trivial.
+    """
+    leaf, perm, autos = _canonical_search(g.n, g.rows)
+    key = _key(g.n, leaf)
+    canon = relabel(g, perm) if g.n else g
+    if not automorphisms:
+        return key, canon
+    labels = [0] * g.n
+    for i, v in enumerate(perm):
+        labels[v] = i
+    generators = tuple(tuple(labels[sigma[v]] for v in perm) for sigma in autos)
+    return key, canon, tuple(labels), generators
 
 
 def canonical_g6(g: Graph) -> str:

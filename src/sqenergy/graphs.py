@@ -412,8 +412,7 @@ def cactus_profile(g: Graph) -> CactusProfile:
     A connected graph is a cactus iff every block (biconnected component)
     is a single edge or a simple cycle.  Raises on disconnected input.
     """
-    st = stats(g)
-    if g.n == 0 or not st.connected:
+    if g.n == 0 or len(component_masks(g)) != 1:
         raise ValueError("cactus profile requires a connected graph")
     blocks = _blocks(g)
     cycles: list[tuple[int, ...]] = []

@@ -14,7 +14,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, CONCLUSIVE_TOL, GraphFacts, certify, m0_threshold
+from .bounds import CERTIFY_RULES, CONCLUSIVE_TOL, GraphFacts, _wanted_rules, certify, m0_threshold
 from .graphs import Graph, add_leaf, stats, to_graph6
 from .spectral import graph_profile
 
@@ -273,8 +273,11 @@ class CoverageReport:
 def certify_corpus(
     graphs: Iterable[Graph], rules: Optional[Iterable[str]] = None
 ) -> CoverageReport:
-    """Run the certificate pipeline over a corpus and tally coverage."""
-    rules = None if rules is None else tuple(rules)
+    """Run the certificate pipeline over a corpus and tally coverage.
+
+    Unknown rule names raise ValueError before any graph is read.
+    """
+    rules = _wanted_rules(rules)
     fired = {r: 0 for r in CERTIFY_RULES}
     conclusive = {r: 0 for r in CERTIFY_RULES}
     total = 0

@@ -53,6 +53,27 @@ class TestCanonicalForm:
         key, cg2 = canonical_pair(g)
         assert cg2 == cg and key == canonical_form(g)
 
+    @given(graphs(max_n=10))
+    def test_labels_and_automorphisms_come_from_the_same_search(self, g):
+        key, canon, labels, generators = canonical_pair(g, automorphisms=True)
+        assert (key, canon) == canonical_pair(g)
+        assert sorted(labels) == list(range(g.n))
+        assert all(canon.has_edge(labels[u], labels[v]) for u, v in g.edges())
+        for sigma in generators:
+            assert sorted(sigma) == list(range(g.n))
+            assert relabel(canon, sigma) == canon
+
+    def test_found_automorphisms_of_a_cycle_act_transitively(self):
+        _, canon, _, generators = canonical_pair(cycle_graph(7), automorphisms=True)
+        orbit, todo = {0}, [0]
+        while todo:
+            v = todo.pop()
+            for sigma in generators:
+                if sigma[v] not in orbit:
+                    orbit.add(sigma[v])
+                    todo.append(sigma[v])
+        assert orbit == set(range(7))
+
     def test_canonical_g6_is_stable_string(self):
         g = petersen()
         perm = [3, 1, 4, 0, 9, 2, 6, 8, 5, 7]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
+import sqenergy.enumeration
 from sqenergy.canon import canonical_form
 from sqenergy.enumeration import (
     CONNECTED_MAX_N,
@@ -11,13 +15,35 @@ from sqenergy.enumeration import (
     enumerate_connected,
     enumerate_unicyclic_nonbipartite,
 )
-from sqenergy.graphs import cactus_profile, stats
+from sqenergy.graphs import cactus_profile, from_edges, stats, to_graph6
+
+CONNECTED8_G6 = Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"
 
 # unlabelled connected graphs by order (classic integer sequence)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 # connected non-bipartite unicyclic graphs by order
 UNICYCLIC_COUNTS = {3: 1, 4: 1, 5: 4, 6: 8, 7: 23, 8: 55, 9: 155, 10: 403, 11: 1116, 12: 3029}
+
+# sha256 of the graph6 stream (one line per graph, newline-terminated) of
+# enumerate_unicyclic_nonbipartite(n), as emitted by the global-dedupe
+# enumerator that canonical augmentation replaced
+UNICYCLIC_STREAM_SHA256 = {
+    3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
+    4: "2229daff9fc1aa3aec2fd43e4fc86f64cacec28d61ea4f33e05cbafb2319dc53",
+    5: "1e380828b6a3066c7a742683b442846a4e48f2d04cf24b573d74813675f3b960",
+    6: "582517ffd32d638ee04c48e4c917e22a592b57a73b1899fe321933450296b3ab",
+    7: "d528c9c6e15b788fb784bc24a792cfabafbd036eb6f11c7593f954f6039b7f69",
+    8: "0c6e4a83c4a93f25089db3097553ebd2225a503db8ed66d815b6ff4916307234",
+    9: "b07c94ae3a8e584f34daec9a689e01e054ea7c03ee64a1953ecde39ba03635f9",
+    10: "1842a0174e3c165204ecfb336c271981577588dbfa5b7522c281870468eee409",
+    11: "fe4af22997c4a53c2756197305de2d03608a056cc30187a92202230c8a2930f0",
+    12: "479bf4f0757e51679ec36b000e8afb229e744df4a0150341a8f199b456c2abcb",
+}
+
+
+def g6_stream(graphs) -> bytes:
+    return "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
 
 
 class TestConnected:
@@ -45,6 +71,34 @@ class TestConnected:
         with pytest.raises(ValueError):
             list(enumerate_connected(CONNECTED_MAX_N + 1))
 
+    def test_order_eight_stream_matches_the_committed_corpus(self):
+        assert g6_stream(enumerate_connected(8)) == CONNECTED8_G6.read_bytes()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_classes_match_the_graph_atlas(self, n):
+        nx = pytest.importorskip("networkx")
+        atlas = {
+            canonical_form(from_edges(n, h.edges()))
+            for h in nx.graph_atlas_g()
+            if h.number_of_nodes() == n and nx.is_connected(h)
+        }
+        ours = [canonical_form(g) for g in enumerate_connected(n)]
+        assert len(ours) == len(atlas) and set(ours) == atlas
+
+    def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
+        # the global-dedupe enumerator labelled every child: 7815 searches up to order 7
+        calls = 0
+        labelling = sqenergy.enumeration.canonical_pair
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return labelling(*args, **kwargs)
+
+        monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", counted)
+        assert sum(1 for _ in enumerate_connected(7)) == CONNECTED_COUNTS[7]
+        assert calls <= 7815 // 3
+
 
 class TestUnicyclic:
     @pytest.mark.parametrize("n", sorted(UNICYCLIC_COUNTS))
@@ -67,6 +121,11 @@ class TestUnicyclic:
         first = [g.rows for g in enumerate_unicyclic_nonbipartite(9)]
         second = [g.rows for g in enumerate_unicyclic_nonbipartite(9)]
         assert first == second
+
+    @pytest.mark.parametrize("n", sorted(UNICYCLIC_STREAM_SHA256))
+    def test_stream_is_pinned(self, n):
+        digest = hashlib.sha256(g6_stream(enumerate_unicyclic_nonbipartite(n))).hexdigest()
+        assert digest == UNICYCLIC_STREAM_SHA256[n]
 
     def test_cap_and_override(self):
         with pytest.raises(ValueError, match="allow_large"):

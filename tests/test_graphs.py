@@ -302,6 +302,10 @@ class TestCactus:
         with pytest.raises(ValueError, match="connected"):
             cactus_profile(from_edges(3, [(0, 1)]))
 
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="connected"):
+            cactus_profile(from_edges(0, []))
+
     def test_mixed_parity_cycles(self):
         # triangle and square hanging off a shared path vertex
         g = from_edges(

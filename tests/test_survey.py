@@ -117,6 +117,10 @@ class TestCoverage:
         with pytest.raises(ValueError, match="unknown rule.*bogus"):
             certify_corpus(small_corpus, rules=["bogus"])
 
+    def test_unknown_rule_rejected_on_an_empty_corpus(self):
+        with pytest.raises(ValueError, match="unknown rule.*bogus"):
+            certify_corpus([], rules=["bogus"])
+
     def test_one_shot_rule_iterable_applies_to_every_graph(self, small_corpus):
         once = certify_corpus(small_corpus, rules=iter(["avg_degree"]))
         listed = certify_corpus(small_corpus, rules=["avg_degree"])
