@@ -10,14 +10,18 @@ largest adjacency bitstring over all discrete leaves wins.  Two leaves
 with equal bitstrings reveal an automorphism, and the orbits of the
 automorphisms found so far prune sibling branches, which keeps highly
 symmetric graphs (cliques, stars, unions of twins) from exploding into
-factorial subtrees.  The automorphisms a search finds generate a subgroup
-of the automorphism group, not always all of it; ``canonical_pair`` hands
-them out for callers that only use them to skip equivalent work.
+factorial subtrees.  A vertex whose twin was already tried is skipped
+outright, since swapping twins is an automorphism.  The automorphisms a
+search finds generate a subgroup of the automorphism group, not always
+all of it; ``canonical_pair`` hands them out for callers that only use
+them to skip equivalent work.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, relabel, to_graph6
+from typing import Iterable
+
+from .graphs import Graph, _row_bits, relabel, to_graph6
 
 __all__ = [
     "canonical_form",
@@ -33,45 +37,68 @@ def refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[in
 
     Repeatedly splits every cell by the vector of neighbour counts into
     all current cells; sub-cells are ordered by that signature so the
-    outcome is isomorphism-invariant.
+    outcome is isomorphism-invariant.  Empty cells are dropped.
     """
+    cells = [c for c in cells if c]
+    return _refine(rows, cells, [_mask(c) for c in cells]) if cells else cells
+
+
+def _mask(cell: Iterable[int]) -> int:
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
+
+
+def _refine(
+    rows: tuple[int, ...], cells: list[tuple[int, ...]], fresh: list[int]
+) -> list[tuple[int, ...]]:
+    """``refine`` given the cells whose counts can still differ within a cell.
+
+    ``fresh`` lists those cells as bitmasks, in cell order.  Vertices of
+    one cell agree on their counts into every other cell, so comparing
+    counts into the fresh cells orders them as the full vectors would.
+    After a split, the sub-cells are fresh except the last of each split
+    cell, whose count is the old cell's count minus the others'.  A
+    vertex's counts are packed into one integer, the first fresh cell's
+    count most significant.
+    """
+    width = len(rows).bit_length()
     while True:
-        masks = [0] * len(cells)
-        for i, cell in enumerate(cells):
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks[i] = m
         new_cells: list[tuple[int, ...]] = []
-        changed = False
+        next_fresh: list[int] = []
+        m = fresh[0] if len(fresh) == 1 else 0
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                rv = rows[v]
-                sig = tuple((rv & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
+            if m:
+                sigs = [(rows[v] & m).bit_count() for v in cell]
             else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
+                sigs = []
+                for v in cell:
+                    r = rows[v]
+                    sig = 0
+                    for f in fresh:
+                        sig = sig << width | (r & f).bit_count()
+                    sigs.append(sig)
+            if sigs.count(sigs[0]) == len(sigs):
+                new_cells.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v, sig in zip(cell, sigs):
+                if sig in groups:
+                    groups[sig].append(v)
+                else:
+                    groups[sig] = [v]
+            order = sorted(groups)
+            for sig in order:
+                new_cells.append(tuple(groups[sig]))
+            next_fresh.extend(_mask(groups[sig]) for sig in order[:-1])
+        if not next_fresh:
+            return new_cells
         cells = new_cells
-        if not changed:
-            return cells
-
-
-def _leaf_bits(rows: tuple[int, ...], perm: tuple[int, ...]) -> int:
-    """Upper-triangle adjacency bits of the relabelled graph, packed msb-first."""
-    acc = 0
-    for i, pi in enumerate(perm):
-        ri = rows[pi]
-        for pj in perm[i + 1 :]:
-            acc = acc << 1 | (ri >> pj & 1)
-    return acc
+        fresh = next_fresh
 
 
 class _Orbits:
@@ -96,34 +123,50 @@ class _Orbits:
 def _canonical_search(
     n: int, rows: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """Best (max) leaf bitstring, the labelling that produces it, and the automorphisms met."""
+    """Best (max) leaf bitstring, the labelling that produces it, and the automorphisms met.
+
+    Besides the automorphisms that orbit pruning records, a cell vertex
+    whose twin (equal open or closed neighbourhood) was already tried is
+    skipped, and the swap of the two is an automorphism met.  Neither kind
+    of pruning can skip the first leaf that attains the maximum, so the
+    labelling does not depend on them.
+    """
     if n == 0:
         return 0, (), []
+    nbrs = [tuple(_row_bits(r)) for r in rows]
     best_bits = -1
     best_perm: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
+    swaps: list[tuple[int, ...]] = []
+    # A leaf's bitstring is row by row: row i holds its bits to the vertices
+    # after i, the nearest one most significant.  With vertex perm[j] weighted
+    # 1 << (n - 1 - j), row i is its neighbours' weight sum below 1 << (n - 1 - i).
+    place = [0] * n
+    weight = place.__getitem__
+    tails = [(n - 1 - i, (1 << (n - 1 - i)) - 1) for i in range(n)]
 
-    def descend(cells: list[tuple[int, ...]], prefix: tuple[int, ...]) -> None:
+    def descend(cells: list[tuple[int, ...]], fresh: list[int], prefix: tuple[int, ...]) -> None:
         nonlocal best_bits, best_perm
-        cells = refine(rows, cells)
-        target = -1
-        for idx, cell in enumerate(cells):
+        cells = _refine(rows, cells, fresh)
+        for target, cell in enumerate(cells):
             if len(cell) > 1:
-                target = idx
                 break
-        if target < 0:
-            perm = tuple(c[0] for c in cells)
-            leaf = _leaf_bits(rows, perm)
+        else:
+            perm = tuple([c[0] for c in cells])
+            for i, v in enumerate(perm):
+                place[v] = 1 << (n - 1 - i)
+            leaf = 0
+            for v, (shift, below) in zip(perm, tails):
+                leaf = leaf << shift | sum(map(weight, nbrs[v])) & below
             if leaf > best_bits:
                 best_bits = leaf
                 best_perm = perm
             elif leaf == best_bits and perm != best_perm:
                 sigma = [0] * n
-                for i, pi in enumerate(perm):
-                    sigma[pi] = best_perm[i]
+                for pi, bi in zip(perm, best_perm):
+                    sigma[pi] = bi
                 autos.append(tuple(sigma))
             return
-        cell = cells[target]
         head = cells[:target]
         tail = cells[target + 1 :]
         tried: list[int] = []
@@ -131,6 +174,13 @@ def _canonical_search(
         orbits_at = -1
         for v in cell:
             if tried:
+                rv, cv = rows[v], rows[v] | 1 << v
+                twin = next((u for u in tried if rows[u] == rv or rows[u] | 1 << u == cv), -1)
+                if twin >= 0:
+                    sigma = list(range(n))
+                    sigma[twin], sigma[v] = v, twin
+                    swaps.append(tuple(sigma))
+                    continue
                 if orbits_at != len(autos):
                     orbits = _Orbits(n)
                     for sigma in autos:
@@ -143,11 +193,11 @@ def _canonical_search(
                 if any(orbits.find(u) == root for u in tried):
                     continue
             tried.append(v)
-            rest = tuple(w for w in cell if w != v)
-            descend(head + [(v,), rest] + tail, prefix + (v,))
+            rest = tuple([w for w in cell if w != v])
+            descend(head + [(v,), rest] + tail, [1 << v], prefix + (v,))
 
-    descend([tuple(range(n))], ())
-    return best_bits, best_perm, autos
+    descend([tuple(range(n))], [(1 << n) - 1], ())
+    return best_bits, best_perm, autos + swaps
 
 
 def _key(n: int, leaf: int) -> bytes:

@@ -1,31 +1,35 @@
 """Exhaustive generation of small graphs, one representative per isomorphism class.
 
-Both generators use canonical augmentation (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).  Graphs grow one vertex
-at a time.  Connected graphs get a new vertex joined to any non-empty
-subset of the parent, and unicyclic graphs a pendant vertex on any vertex
-of the parent.  The vertices that may be removed again are the non-cut
-vertices (connected) or the leaves (unicyclic).  Every graph has one
-canonical parent: remove the deletable vertex of least invariant
-(degree, then neighbour degree sum) and, among ties, highest canonical
-label.  A child is kept only if removing that vertex gives back the
-parent it was grown from.
+Connected graphs are grown one vertex at a time: every connected graph
+on k+1 vertices contains a vertex whose removal leaves a connected graph
+(any leaf of a spanning tree), so augmenting each k-vertex representative
+with a new vertex attached to every non-empty neighbourhood subset
+reaches everything.  Every child is labelled canonically once and
+duplicates are removed by canonical form.
 
-A child whose new vertex has a larger invariant than some deletable
-vertex is rejected before any canonical labelling.  Each survivor is
-labelled once; its new vertex being the canonical deletion, or in the
-same orbit under the automorphisms that search found, accepts it without
-further work, and otherwise one canonical form of the child minus the
-canonical deletion decides.  All copies of a class come from its one
-canonical parent, so a per-parent set of keys removes the remaining
-duplicates, and augmentations that the parent's known automorphisms map
-onto each other are tried once.  The last level is sorted by canonical
-key, so two runs emit byte-identical sequences.
+Unicyclic graphs are grown from their cycle by pendant additions, with
+canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  Every graph has one canonical parent: remove
+the leaf of least invariant (the degree of its neighbour) and, among
+ties, highest canonical label.  A child is kept only if removing that
+leaf gives back the parent it was grown from.  A child whose new leaf
+hangs on a vertex of larger degree than some other leaf's neighbour is
+rejected before any canonical labelling.  Each survivor is labelled
+once; its new leaf being the canonical deletion, or in the same orbit
+under the automorphisms that search found, accepts it without further
+work, and otherwise one canonical form of the child minus the canonical
+deletion decides.  All copies of a class come from its one canonical
+parent, so a per-parent set of keys removes the remaining duplicates,
+and attachment vertices that the parent's known automorphisms map onto
+each other are tried once.
+
+Each order's last level is sorted by canonical key, so two runs emit
+byte-identical sequences.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .canon import canonical_form, canonical_pair
 from .families import cycle_graph
@@ -39,8 +43,6 @@ __all__ = [
     "UNICYCLIC_EXTENDED_MAX_N",
 ]
 
-# order 9 takes about a minute; order 10 (11.7M classes) is accepted but
-# impractical in time and memory
 CONNECTED_MAX_N = 10
 UNICYCLIC_MAX_N = 14
 UNICYCLIC_EXTENDED_MAX_N = 18
@@ -53,14 +55,27 @@ Level = list[tuple[bytes, Graph, Generators]]
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs of order n up to isomorphism, canonically labelled.
 
-    Deterministic order (sorted canonical keys).  Orders up to 8 take
-    seconds and order 9 about a minute.
+    Deterministic order (sorted canonical keys).  Orders up to 8 are
+    quick; 9 and 10 are supported but take correspondingly longer.
     """
     if not 1 <= n <= CONNECTED_MAX_N:
         raise ValueError(f"connected enumeration supports 1 <= n <= {CONNECTED_MAX_N}, got {n}")
     k1 = Graph(1, (0,))
-    level: Level = [(canonical_pair(k1)[0], k1, ())]
-    yield from _augment(level, n, _vertex_children, _is_non_cut)
+    level: dict[bytes, Graph] = {canonical_pair(k1)[0]: k1}
+    for k in range(1, n):
+        grown: dict[bytes, Graph] = {}
+        for parent in level.values():
+            rows = parent.rows
+            for mask in range(1, 1 << k):
+                child_rows = tuple(
+                    r | ((mask >> u & 1) << k) for u, r in enumerate(rows)
+                ) + (mask,)
+                key, canon = canonical_pair(Graph(k + 1, child_rows))
+                if key not in grown:
+                    grown[key] = canon
+        level = grown
+    for key in sorted(level):
+        yield level[key]
 
 
 def enumerate_unicyclic_nonbipartite(n: int, allow_large: bool = False) -> Iterator[Graph]:
@@ -78,95 +93,54 @@ def enumerate_unicyclic_nonbipartite(n: int, allow_large: bool = False) -> Itera
         raise ValueError(f"unicyclic enumeration capped at n <= {cap}{hint}")
     for c in range(3, n + 1, 2):
         key, base, _, gens = canonical_pair(cycle_graph(c), automorphisms=True)
-        yield from _augment([(key, base, gens)], n, _leaf_children, _is_leaf)
+        level: Level = [(key, base, gens)]
+        for k in range(c, n):
+            extend = k + 1 < n
+            grown: Level = []
+            for parent_key, parent, parent_gens in level:
+                seen: set[bytes] = set()
+                for child in _leaf_children(parent, parent_gens):
+                    ties = _tied_leaves(child.rows)
+                    if ties is None:
+                        continue
+                    key, canon, labels, gens = canonical_pair(child, automorphisms=True)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    # the canonical deletion: the tied leaf of highest canonical label
+                    w = max(ties, key=labels.__getitem__, default=k)
+                    if labels[w] < labels[k]:
+                        w = k
+                    others = (v for v in range(k + 1) if v != w)
+                    if (
+                        w == k
+                        or _orbit(labels[k], gens) >> labels[w] & 1
+                        or canonical_form(induced_subgraph(child, others)) == parent_key
+                    ):
+                        grown.append((key, canon, gens if extend else ()))
+            level = grown
+        level.sort(key=lambda item: item[0])
+        for _, g, _ in level:
+            yield g
 
 
-def _augment(
-    level: Level,
-    n: int,
-    children: Callable[[Graph, Generators], Iterable[Graph]],
-    deletable: Callable[[tuple[int, ...], int], bool],
-) -> Iterator[Graph]:
-    """Grow ``level`` (one order, one graph per class) to order n; yield by sorted key.
+def _tied_leaves(rows: tuple[int, ...]) -> list[int] | None:
+    """The other leaves whose neighbour has the degree of the new (last) leaf's.
 
-    ``children`` lists a parent's augmentations, one per orbit of its
-    known automorphisms; ``deletable(rows, v)`` says whether vertex v may
-    be the vertex a child was grown by.
-    """
-    for k in range(level[0][1].n, n):
-        extend = k + 1 < n
-        grown: Level = []
-        for parent_key, parent, parent_gens in level:
-            seen: set[bytes] = set()
-            for child in children(parent, parent_gens):
-                ties = _minimal_new_vertex(child.rows, deletable)
-                if ties is None:
-                    continue
-                key, canon, labels, gens = canonical_pair(child, automorphisms=True)
-                if key in seen:
-                    continue
-                seen.add(key)
-                w = _canonical_deletion(child.rows, ties, labels, deletable)
-                others = (v for v in range(k + 1) if v != w)
-                if (
-                    w == k
-                    or _orbit(labels[k], gens) >> labels[w] & 1
-                    or canonical_form(induced_subgraph(child, others)) == parent_key
-                ):
-                    grown.append((key, canon, gens if extend else ()))
-        level = grown
-    level.sort(key=lambda item: item[0])
-    for _, g, _ in level:
-        yield g
-
-
-def _minimal_new_vertex(
-    rows: tuple[int, ...], deletable: Callable[[tuple[int, ...], int], bool]
-) -> list[int] | None:
-    """Vertices tied with the new (last) vertex on the deletion invariant.
-
-    None when some deletable vertex has a smaller invariant, which rules
-    the new vertex out as the canonical deletion.
+    None when some leaf hangs on a vertex of smaller degree, which rules
+    the new leaf out as the canonical deletion.
     """
     k = len(rows) - 1
-    deg = [r.bit_count() for r in rows]
-    dk = deg[k]
-    nk = _neighbour_degree_sum(rows[k], deg)
+    hub = rows[rows[k].bit_length() - 1].bit_count()
     ties = []
     for v in range(k):
-        dv = deg[v]
-        if dv > dk:
-            continue
-        if dv == dk:
-            nv = _neighbour_degree_sum(rows[v], deg)
-            if nv > nk:
-                continue
-            if nv == nk:
+        if rows[v].bit_count() == 1:
+            d = rows[rows[v].bit_length() - 1].bit_count()
+            if d < hub:
+                return None
+            if d == hub:
                 ties.append(v)
-                continue
-        if deletable(rows, v):
-            return None
     return ties
-
-
-def _canonical_deletion(
-    rows: tuple[int, ...],
-    ties: list[int],
-    labels: tuple[int, ...],
-    deletable: Callable[[tuple[int, ...], int], bool],
-) -> int:
-    """The deletable vertex tied with the new one that has the highest canonical label."""
-    k = len(rows) - 1
-    outranking = sorted((v for v in ties if labels[v] > labels[k]), key=labels.__getitem__, reverse=True)
-    return next((v for v in outranking if deletable(rows, v)), k)
-
-
-def _vertex_children(parent: Graph, gens: Generators) -> Iterator[Graph]:
-    """The parent plus a new vertex joined to each non-empty neighbourhood, up to gens."""
-    k = parent.n
-    rows = parent.rows
-    for mask in _subset_orbit_representatives(k, gens):
-        yield Graph(k + 1, tuple(r | (mask >> u & 1) << k for u, r in enumerate(rows)) + (mask,))
 
 
 def _leaf_children(parent: Graph, gens: Generators) -> Iterator[Graph]:
@@ -190,64 +164,3 @@ def _orbit(v: int, gens: Generators) -> int:
                 orbit |= 1 << w
                 stack.append(w)
     return orbit
-
-
-def _subset_orbit_representatives(k: int, gens: Generators) -> Iterable[int]:
-    """One non-empty subset of range(k), as a bitmask, per orbit of the group gens generate."""
-    full = 1 << k
-    if not gens:
-        return range(1, full)
-    images = []
-    for sigma in gens:
-        image = [0] * full
-        for mask in range(1, full):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
-        images.append(image)
-    seen = bytearray(full)
-    reps = []
-    for mask in range(1, full):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-    return reps
-
-
-def _is_non_cut(rows: tuple[int, ...], v: int) -> bool:
-    """Whether the connected graph stays connected without v."""
-    if rows[v].bit_count() == 1:
-        return True
-    rest = (1 << len(rows)) - 1 & ~(1 << v)
-    reach = frontier = rest & -rest
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            grow |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grow & rest & ~reach
-        reach |= frontier
-    return reach == rest
-
-
-def _is_leaf(rows: tuple[int, ...], v: int) -> bool:
-    return rows[v].bit_count() == 1
-
-
-def _neighbour_degree_sum(row: int, deg: list[int]) -> int:
-    total = 0
-    while row:
-        low = row & -row
-        total += deg[low.bit_length() - 1]
-        row ^= low
-    return total
-

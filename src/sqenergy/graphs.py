@@ -86,6 +86,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_BYTE_BITS = [tuple(bits(b)) for b in range(256)]
+
+
+def _row_bits(mask: int) -> Iterable[int]:
+    """``bits(mask)``, from a table when the mask fits in a byte."""
+    return _BYTE_BITS[mask] if mask < 256 else bits(mask)
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, validating the input."""
     if n < 0:
@@ -334,16 +342,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel so that new vertex i is old vertex perm[i]."""
-    inv = [0] * g.n
+    label = [0] * g.n
     for i, v in enumerate(perm):
-        inv[v] = i
-    rows = [0] * g.n
-    for i, v in enumerate(perm):
-        mask = 0
-        for w in bits(g.rows[v]):
-            mask |= 1 << inv[w]
-        rows[i] = mask
-    return Graph(g.n, tuple(rows))
+        label[v] = 1 << i
+    get = label.__getitem__
+    rows = g.rows
+    return Graph(g.n, tuple([sum(map(get, _row_bits(rows[v]))) for v in perm]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from sqenergy.canon import (
     canonical_graph,
     canonical_pair,
     is_isomorphic,
+    refine,
 )
 from sqenergy.families import (
     complete_bipartite_graph,
@@ -24,6 +25,22 @@ from sqenergy.families import (
     star_graph,
 )
 from sqenergy.graphs import from_edges, from_graph6, relabel
+
+
+def refine_by_full_vectors(rows, cells):
+    """Refinement as defined: every pass splits by counts into all cells."""
+    cells = [c for c in cells if c]
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        split = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(tuple((rows[v] & m).bit_count() for m in masks), []).append(v)
+            split.extend(tuple(groups[sig]) for sig in sorted(groups))
+        if split == cells:
+            return cells
+        cells = split
 
 
 def petersen() -> "Graph":
@@ -73,6 +90,22 @@ class TestCanonicalForm:
                     orbit.add(sigma[v])
                     todo.append(sigma[v])
         assert orbit == set(range(7))
+
+    @given(graphs(max_n=12), st.randoms(use_true_random=False))
+    def test_refine_matches_full_count_vectors(self, g, rnd):
+        # only the cells that changed are counted into; the result must not notice
+        cells = [[] for _ in range(rnd.randint(1, 3))]
+        for v in range(g.n):
+            rnd.choice(cells).append(v)
+        cells = [tuple(c) for c in cells]
+        assert refine(g.rows, cells) == refine_by_full_vectors(g.rows, cells)
+
+    def test_twin_swaps_are_reported_as_automorphisms(self):
+        # the five leaves of a star are twins, searched once and swapped
+        _, canon, _, generators = canonical_pair(star_graph(6), automorphisms=True)
+        moved = {v for sigma in generators for v in range(6) if sigma[v] != v}
+        assert len(moved) == 5
+        assert all(relabel(canon, sigma) == canon for sigma in generators)
 
     def test_canonical_g6_is_stable_string(self):
         g = petersen()

@@ -85,21 +85,6 @@ class TestConnected:
         ours = [canonical_form(g) for g in enumerate_connected(n)]
         assert len(ours) == len(atlas) and set(ours) == atlas
 
-    def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
-        # the global-dedupe enumerator labelled every child: 7815 searches up to order 7
-        calls = 0
-        labelling = sqenergy.enumeration.canonical_pair
-
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return labelling(*args, **kwargs)
-
-        monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", counted)
-        assert sum(1 for _ in enumerate_connected(7)) == CONNECTED_COUNTS[7]
-        assert calls <= 7815 // 3
-
-
 class TestUnicyclic:
     @pytest.mark.parametrize("n", sorted(UNICYCLIC_COUNTS))
     def test_counts(self, n):
@@ -126,6 +111,20 @@ class TestUnicyclic:
     def test_stream_is_pinned(self, n):
         digest = hashlib.sha256(g6_stream(enumerate_unicyclic_nonbipartite(n))).hexdigest()
         assert digest == UNICYCLIC_STREAM_SHA256[n]
+
+    def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
+        # labelling every pendant child takes 18382 searches at order 12
+        calls = 0
+        labelling = sqenergy.enumeration.canonical_pair
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return labelling(*args, **kwargs)
+
+        monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", counted)
+        assert sum(1 for _ in enumerate_unicyclic_nonbipartite(12)) == UNICYCLIC_COUNTS[12]
+        assert calls <= 18382 // 2
 
     def test_cap_and_override(self):
         with pytest.raises(ValueError, match="allow_large"):
