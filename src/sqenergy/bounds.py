@@ -38,11 +38,11 @@ from .spectral import (
     EXACT_ORDER_CAP,
     EnergyProfile,
     Spectrum,
-    char_poly_exact,
     eigenvalues,
     energy_profile,
     graph_profile,
     perron_vector,
+    rank_exact,
     spectrum_from_values,
 )
 
@@ -105,10 +105,19 @@ class GraphFacts:
 
     @cached_property
     def exact_zero(self) -> Optional[int]:
-        """Exact multiplicity of eigenvalue 0; None above the exact cap."""
+        """Exact multiplicity of eigenvalue 0, n - rank(A); None above the
+        exact cap.  Raises ArithmeticError when the tolerance inertia counts
+        a different number of zero eigenvalues.
+        """
         if self.graph.n > EXACT_ORDER_CAP:
             return None
-        return char_poly_exact(self.graph).zero_root_multiplicity()
+        zero = self.graph.n - rank_exact(self.graph)
+        if zero != self.profile.inertia.zero:
+            raise ArithmeticError(
+                f"tolerance classified {self.profile.inertia.zero} zero eigenvalues, "
+                f"exact rank says {zero}"
+            )
+        return zero
 
     @cached_property
     def complement_components(self) -> list[int]:
@@ -677,8 +686,8 @@ def majorization_two_positive(
     s_plus >= s_minus and hence s_plus >= |E| >= n - 1.
 
     The positive count is tolerance-classified and, within the exact
-    cap, cross-checked against the integer characteristic polynomial's
-    zero-root multiplicity.  Returns None when the shape does not apply.
+    cap, cross-checked against the exact rank through
+    ``GraphFacts.exact_zero``.  Returns None when the shape does not apply.
     """
     f = _facts(g)
     g = f.graph
@@ -688,11 +697,7 @@ def majorization_two_positive(
     inert = f.profile.inertia
     if inert.positive != 2:
         return None
-    if f.exact_zero is not None and f.exact_zero != inert.zero:
-        raise ArithmeticError(
-            f"tolerance classified {inert.zero} zero eigenvalues, "
-            f"exact polynomial says {f.exact_zero}"
-        )
+    f.exact_zero  # raises when the exact zero count disagrees with the inertia
     nu = inert.negative
     mu = tuple(spec.values[:2]) + (0.0,) * (nu - 2) if nu >= 2 else tuple(spec.values[:nu])
     theta = tuple(abs(t) for t in spec.values[::-1][:nu])

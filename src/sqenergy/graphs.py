@@ -33,9 +33,12 @@ __all__ = [
     "relabel",
     "stats",
     "cactus_profile",
+    "DENSE_ORDER_CAP",
 ]
 
 _G6_MAX_N = 1 << 18
+# Largest order given a dense n x n float64 matrix: 8192^2 entries are 512 MiB.
+DENSE_ORDER_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,11 @@ class Graph:
                 yield u, v
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 float adjacency matrix."""
+        """Dense 0/1 float adjacency matrix; orders above DENSE_ORDER_CAP raise ValueError."""
+        if self.n > DENSE_ORDER_CAP:
+            raise ValueError(
+                f"order {self.n} exceeds the dense matrix cap of {DENSE_ORDER_CAP} vertices"
+            )
         a = np.zeros((self.n, self.n))
         for u, v in self.edges():
             a[u, v] = a[v, u] = 1.0

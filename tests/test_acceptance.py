@@ -35,7 +35,7 @@ from sqenergy.graphs import (
     stats,
 )
 from sqenergy.partitions import Partition, quotient_eigenvalues, quotient_matrix, twin_quotient_spectrum
-from sqenergy.spectral import char_poly_exact, eigenvalues, graph_profile, inertia_of
+from sqenergy.spectral import char_poly_exact, eigenvalues, graph_profile, inertia_of, rank_exact
 from sqenergy.survey import m0_curve, survey
 
 # ---------------------------------------------------------------------------
@@ -413,6 +413,7 @@ def test_criterion_10_zero_multiplicity_exactness(connected_upto7):
     for g in connected_upto7:
         tol_zero = inertia_of(eigenvalues(g)).zero
         exact_zero = char_poly_exact(g).zero_root_multiplicity()
+        assert rank_exact(g) == g.n - exact_zero
         if tol_zero != exact_zero:
             mismatches += 1
     assert mismatches == 0

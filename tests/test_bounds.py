@@ -546,7 +546,7 @@ class TestGraphFacts:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("eigenvalues", "char_poly_exact", "component_masks", "cactus_profile"):
+        for name in ("eigenvalues", "rank_exact", "component_masks", "cactus_profile"):
             count(bounds_module, name)
         count(spectral_module, "eigenvalues")  # reached through graph_profile
         certify(g)
@@ -573,3 +573,10 @@ class TestGraphFacts:
     def test_exact_zero_is_none_above_the_cap(self):
         assert GraphFacts(star_graph(5)).exact_zero == 3
         assert GraphFacts(path_graph(65)).exact_zero is None
+
+    def test_exact_rank_disagreeing_with_the_inertia_raises(self, monkeypatch):
+        # P4 is connected with two positive eigenvalues and rank 4
+        monkeypatch.setattr(bounds_module, "rank_exact", lambda g: g.n - 1)
+        for rule in (rank_bound, majorization_two_positive):
+            with pytest.raises(ArithmeticError, match="tolerance classified 0 zero eigenvalues"):
+                rule(path_graph(4))

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import sqenergy.graphs as graphs_module
 from sqenergy.cli import _default_threads, main
 
 TRIANGLE = "Bw"  # K_3
@@ -59,6 +60,12 @@ class TestEnergies:
     def test_bad_graph6_exits_one(self, capsys):
         code, _, err = run(capsys, "energies", "--g6", '"')
         assert code == 1 and err.startswith("sqenergy: error:")
+
+    def test_order_above_the_dense_cap_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
+        code, out, err = run(capsys, "energies", "--g6", STAR5)
+        assert code == 1 and out == ["graph6,n,m,s_plus,s_minus,energy,positive,zero,negative"]
+        assert err == "sqenergy: error: order 5 exceeds the dense matrix cap of 4 vertices\n"
 
     def test_bad_line_in_file_is_located(self, capsys, tmp_path):
         src = tmp_path / "graphs.g6"

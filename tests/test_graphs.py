@@ -8,6 +8,7 @@ from _strategies import graphs
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqenergy.graphs as graphs_module
 from sqenergy.families import complete_graph, cycle_graph, path_graph, star_graph
 from sqenergy.graphs import (
     Graph6Error,
@@ -52,6 +53,12 @@ class TestGraphBasics:
         assert np.array_equal(a, a.T)
         assert a.sum() == 2 * g.m
         assert np.all(np.diag(a) == 0)
+
+    def test_adjacency_matrix_refuses_orders_above_the_dense_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
+        assert path_graph(4).adjacency_matrix().shape == (4, 4)
+        with pytest.raises(ValueError, match="order 5 exceeds the dense matrix cap of 4"):
+            path_graph(5).adjacency_matrix()
 
     def test_bits_ascending(self):
         assert list(bits(0)) == []

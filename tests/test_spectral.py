@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -238,3 +239,42 @@ class TestRank:
     def test_rank_agrees_with_inertia(self, g):
         inert = inertia_of(eigenvalues(g))
         assert rank_exact(g) == inert.positive + inert.negative
+
+
+def _oracle_corpus() -> list:
+    """The empty graph, edgeless and disconnected graphs, and seeded random
+    graphs of order <= 12 from sparse to dense."""
+    rng = random.Random(20230417)
+    corpus = [
+        from_edges(0, []),
+        from_edges(1, []),
+        from_edges(7, []),
+        from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)]),
+    ]
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        p = rng.choice((0.1, 0.25, 0.5, 0.8))
+        corpus.append(
+            from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        )
+    return corpus
+
+
+class TestSympyOracle:
+    """The exact layer against sympy's exact matrix routines."""
+
+    @staticmethod
+    def _matrix(sympy, g):
+        return sympy.Matrix(g.n, g.n, lambda i, j: int(g.has_edge(i, j)))
+
+    def test_char_poly_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for g in _oracle_corpus():
+            expected = tuple(int(c) for c in self._matrix(sympy, g).charpoly(x).all_coeffs())
+            assert char_poly_exact(g).coeffs == expected, g
+
+    def test_rank_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for g in _oracle_corpus():
+            assert rank_exact(g) == self._matrix(sympy, g).rank(), g
