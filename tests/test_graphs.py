@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from _strategies import graphs
@@ -146,6 +148,76 @@ class TestGraph6:
     @given(graphs())
     def test_roundtrip_property(self, g):
         assert from_graph6(to_graph6(g)) == g
+
+    # An order-8 payload is 28 bits in 5 bytes (offsets 1-5); the last
+    # byte carries 4 bits and 2 padding bits.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("G??#??", "invalid graph6 byte 35 (byte 3)"),
+            ("G????#", "invalid graph6 byte 35 (byte 5)"),
+            ("G????" + chr(63 + 1), "nonzero padding bit (byte 5)"),
+            ("G???", "truncated graph6 payload: need 5 bytes, got 3 (byte 4)"),
+            ("G??????", "trailing garbage after graph6 payload (byte 6)"),
+            ("G?#??" + chr(63 + 1), "invalid graph6 byte 35 (byte 2)"),
+        ],
+        ids=["invalid-mid", "invalid-last", "padding", "truncated", "trailing", "invalid-first"],
+    )
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(Graph6Error) as info:
+            from_graph6(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ch", ["\x7f", "\xe9", "\u20ac"])
+    def test_error_names_the_first_bad_byte(self, ch):
+        with pytest.raises(Graph6Error) as info:
+            from_graph6("G?" + ch + "?" + chr(200) + "?")
+        assert str(info.value) == f"invalid graph6 byte {ord(ch)} (byte 2)"
+
+
+def _seeded_graph(n: int, p: float, seed: int):
+    rnd = random.Random(seed)
+    return from_edges(
+        n, [(u, v) for v in range(n) for u in range(v) if rnd.random() < p]
+    )
+
+
+CODEC_ORDERS = [0, 1, 2, 7, 8, 62, 63, 64, 100, 300]
+CODEC_DENSITIES = [0.0, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("p", CODEC_DENSITIES)
+@pytest.mark.parametrize("n", CODEC_ORDERS)
+class TestNetworkxOracle:
+    """graph6 and adjacency matrices against networkx on seeded graphs."""
+
+    @pytest.fixture
+    def pair(self, n, p):
+        nx = pytest.importorskip("networkx")
+        g = _seeded_graph(n, p, seed=1000 * n + int(10 * p))
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges())
+        return nx, g, ref
+
+    def test_encode_matches(self, pair):
+        nx, g, ref = pair
+        assert to_graph6(g) == nx.to_graph6_bytes(ref, header=False).decode().strip()
+
+    def test_decode_matches(self, pair):
+        nx, g, ref = pair
+        text = nx.to_graph6_bytes(ref, header=False).decode().strip()
+        h = from_graph6(text)
+        back = nx.from_graph6_bytes(text.encode())
+        assert h == g
+        assert h.n == back.number_of_nodes()
+        assert set(h.edges()) == {(min(e), max(e)) for e in back.edges()}
+
+    def test_adjacency_matrix_matches(self, pair):
+        nx, g, ref = pair
+        a = g.adjacency_matrix()
+        assert a.dtype == np.float64 and a.shape == (g.n, g.n)
+        assert np.array_equal(a, nx.to_numpy_array(ref, nodelist=range(g.n)))
 
 
 class TestOperations:
