@@ -8,6 +8,7 @@ every operation returns a new value.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -79,10 +80,10 @@ class Graph:
             raise ValueError(
                 f"order {self.n} exceeds the dense matrix cap of {DENSE_ORDER_CAP} vertices"
             )
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges():
-            a[u, v] = a[v, u] = 1.0
-        return a
+        w = (self.n + 7) // 8  # row u as w little-endian bytes: bit v is entry (u, v)
+        packed = b"".join([r.to_bytes(w, "little") for r in self.rows])
+        table = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, w)
+        return np.unpackbits(table, axis=1, count=self.n, bitorder="little").astype(float)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -114,6 +115,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+# graph6 payload bytes are 6-bit groups offset by 63: base64 with another alphabet
+_G6_TO_BITS = {63 + i: format(i, "06b") for i in range(64)}
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
 
 
 class Graph6Error(ValueError):
@@ -168,27 +175,23 @@ def from_graph6(text: str) -> Graph:
         )
     if len(text) - pos > nchars:
         raise Graph6Error(f"trailing garbage after graph6 payload (byte {pos + nchars})")
+    bitstr = text[pos:].translate(_G6_TO_BITS)
+    if len(bitstr) != 6 * nchars:  # translate leaves an invalid byte as one char
+        i = next(i for i in range(pos, len(text)) if not 63 <= ord(text[i]) <= 126)
+        raise Graph6Error(f"invalid graph6 byte {ord(text[i])} (byte {i})")
+    x = int("0" + bitstr[::-1], 2)  # bit k is graph6 bit k; "0" parses n < 2
+    if x >> nbits:
+        raise Graph6Error(f"nonzero padding bit (byte {pos + nchars - 1})")
     rows = [0] * n
-    k = 0  # bit cursor over the upper triangle
-    v, u = 1, 0
-    for i in range(pos, pos + nchars):
-        d = ord(text[i])
-        if not 63 <= d <= 126:
-            raise Graph6Error(f"invalid graph6 byte {d} (byte {i})")
-        group = d - 63
-        for shift in range(5, -1, -1):
-            if k >= nbits:
-                if group >> shift & 1:
-                    raise Graph6Error(f"nonzero padding bit (byte {i})")
-                continue
-            if group >> shift & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            k += 1
-            u += 1
-            if u == v:
-                v += 1
-                u = 0
+    for v in range(1, n):
+        rows[v] = col = x & ((1 << v) - 1)  # the next v bits: pairs (u, v), u < v
+        x >>= v
+        bit, base = 1 << v, 0
+        while col:  # mirror into rows u < v, a byte of the column at a time
+            for u in _BYTE_BITS[col & 255]:
+                rows[base + u] |= bit
+            col >>= 8
+            base += 8
     return Graph(n, tuple(rows))
 
 
@@ -203,19 +206,14 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         head = "~~" + "".join(chr((n >> s & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    chunks = []
-    group, filled = 0, 0
-    for v in range(1, n):
-        rv = g.rows[v]
-        for u in range(v):
-            group = group << 1 | (rv >> u & 1)
-            filled += 1
-            if filled == 6:
-                chunks.append(chr(group + 63))
-                group, filled = 0, 0
-    if filled:
-        chunks.append(chr((group << (6 - filled)) + 63))
-    return head + "".join(chunks)
+    # column v is bits 0..v-1 of rows[v]; bin(rows[v] | top) puts bit u at n + 2 - u
+    nbits = n * (n - 1) // 2
+    top = 1 << n
+    bitstr = "".join([bin(g.rows[v] | top)[n + 2 : n + 2 - v : -1] for v in range(1, n)])
+    nbytes = (nbits + 23) // 24 * 3  # base64 turns each 3 bytes into four 6-bit groups
+    packed = int("0" + bitstr, 2) << (8 * nbytes - nbits)
+    six = binascii.b2a_base64(packed.to_bytes(nbytes, "big"), newline=False)
+    return head + six[: (nbits + 5) // 6].translate(_B64_TO_G6).decode("ascii")
 
 
 def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
@@ -425,6 +423,8 @@ def cactus_profile(g: Graph) -> CactusProfile:
     """
     if g.n == 0 or len(component_masks(g)) != 1:
         raise ValueError("cactus profile requires a connected graph")
+    if g.m > 3 * (g.n - 1) // 2:  # more edges than any cactus of this order
+        return CactusProfile(False, (), 0, 0)
     blocks = _blocks(g)
     cycles: list[tuple[int, ...]] = []
     for edge_list in blocks:

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import graphs
 from .canon import refine
 from .graphs import Graph, bits
 from .spectral import Spectrum, spectrum_from_values
@@ -102,12 +103,15 @@ def quotient_matrix(g: Graph, x: Partition) -> QuotientMatrix:
 
     Equitability is decided exactly: block i is even with respect to
     block j iff all its vertices have the same integer neighbour count in
-    block j.
+    block j.  Partitions of more than DENSE_ORDER_CAP blocks raise ValueError.
     """
     if x.n != g.n:
         raise ValueError(f"partition covers {x.n} vertices, graph has {g.n}")
-    masks = [sum(1 << v for v in block) for block in x.blocks]
     p = len(x.blocks)
+    cap = graphs.DENSE_ORDER_CAP
+    if p > cap:
+        raise ValueError(f"partition of {p} blocks exceeds the dense matrix cap of {cap} blocks")
+    masks = [sum(1 << v for v in block) for block in x.blocks]
     incidence = []
     equitable = True
     entries = np.zeros((p, p))

@@ -97,28 +97,23 @@ def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of g, non-increasing."""
     if g.n == 0:
         return Spectrum((), ZERO_TOL_FLOOR)
-    vals = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
-    lam_max = float(max(vals[0], -vals[-1], 0.0))
-    return Spectrum(tuple(float(v) for v in vals), zero_tolerance(g.n, lam_max))
+    vals = tuple(np.linalg.eigvalsh(g.adjacency_matrix())[::-1].tolist())
+    return Spectrum(vals, zero_tolerance(g.n, max(vals[0], -vals[-1], 0.0)))
 
 
 def inertia_of(spectrum: Spectrum) -> Inertia:
     """Count positive / zero / negative eigenvalues at the spectrum's tolerance."""
-    pos = len(spectrum.positive)
-    neg = len(spectrum.negative)
-    return Inertia(
-        positive=pos,
-        zero=len(spectrum.values) - pos - neg,
-        negative=neg,
-        fragile=spectrum.fragile,
-    )
+    return energy_profile(spectrum).inertia
 
 
 def energy_profile(spectrum: Spectrum) -> EnergyProfile:
-    s_plus = sum(v * v for v in spectrum.positive)
-    s_minus = sum(v * v for v in spectrum.negative)
+    pos, neg = spectrum.positive, spectrum.negative
+    s_plus = sum(v * v for v in pos)
+    s_minus = sum(v * v for v in neg)
     energy = sum(abs(v) for v in spectrum.values)
-    return EnergyProfile(s_plus, s_minus, energy, inertia_of(spectrum))
+    zero = len(spectrum.values) - len(pos) - len(neg)
+    inertia = Inertia(len(pos), zero, len(neg), spectrum.fragile)
+    return EnergyProfile(s_plus, s_minus, energy, inertia)
 
 
 def graph_profile(g: Graph) -> EnergyProfile:

@@ -223,6 +223,14 @@ class TestQuotient:
         code, _, err = run(capsys, "quotient", "--g6", STAR5, "--partition", "0;0")
         assert code == 1
 
+    def test_partition_above_the_dense_cap_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
+        code, out, err = run(capsys, "quotient", "--g6", C5, "--partition", "0;1;2;3;4")
+        assert code == 1 and out == []
+        assert err == (
+            "sqenergy: error: partition of 5 blocks exceeds the dense matrix cap of 4 blocks\n"
+        )
+
 
 class TestLeafProfile:
     def test_triangle_rows(self, capsys):

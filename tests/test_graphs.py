@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sqenergy.graphs as graphs_module
 from sqenergy.families import complete_graph, cycle_graph, path_graph, star_graph
 from sqenergy.graphs import (
+    CactusProfile,
     Graph6Error,
     add_leaf,
     bits,
@@ -385,6 +386,22 @@ class TestCactus:
         with pytest.raises(ValueError, match="connected"):
             cactus_profile(from_edges(0, []))
 
+    def test_edge_count_skips_the_block_decomposition(self, monkeypatch):
+        calls = []
+        real = graphs_module._blocks
+        monkeypatch.setattr(graphs_module, "_blocks", lambda g: calls.append(g) or real(g))
+        assert cactus_profile(complete_graph(4)) == CactusProfile(False, (), 0, 0)
+        assert calls == []
+        assert cactus_profile(cycle_graph(4)).is_cactus and len(calls) == 1
+
+    def test_matches_networkx_blocks_up_to_order_7(self, connected_by_order):
+        nx = pytest.importorskip("networkx")
+        corpus = [g for n in sorted(connected_by_order) for g in connected_by_order[n]]
+        assert len(corpus) == 996
+        assert any(g.m > 3 * (g.n - 1) // 2 for g in corpus)
+        for g in corpus:
+            assert cactus_profile(g) == _networkx_cactus_profile(nx, g)
+
     def test_mixed_parity_cycles(self):
         # triangle and square hanging off a shared path vertex
         g = from_edges(
@@ -400,3 +417,25 @@ class TestCactus:
         assert prof.is_cactus
         assert prof.odd_count == 1 and prof.even_count == 1
         assert (3, 4, 5, 6) in prof.cycles
+
+
+def _networkx_cactus_profile(nx, g):
+    """Cactus profile from networkx's biconnected components."""
+    ref = nx.Graph(list(g.edges()))
+    ref.add_nodes_from(range(g.n))
+    cycles = []
+    for block in nx.biconnected_component_edges(ref):
+        if len(block) == 1:
+            continue
+        cyc = ref.edge_subgraph(block)
+        if cyc.number_of_edges() != cyc.number_of_nodes():  # not a simple cycle
+            return CactusProfile(False, (), 0, 0)
+        start = min(cyc)
+        walk, prev, cur = [start], start, min(cyc[start])
+        while cur != start:
+            walk.append(cur)
+            prev, cur = cur, next(w for w in cyc[cur] if w != prev)
+        cycles.append(tuple(walk))
+    cycles.sort(key=lambda c: (len(c), c))
+    odd = sum(len(c) % 2 for c in cycles)
+    return CactusProfile(True, tuple(cycles), odd, len(cycles) - odd)

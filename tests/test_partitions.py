@@ -10,6 +10,7 @@ from _strategies import graphs
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqenergy.graphs as graphs_module
 from sqenergy.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -76,6 +77,15 @@ class TestQuotientMatrix:
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="partition covers"):
             quotient_matrix(path_graph(3), Partition.of([[0, 1]]))
+
+    def test_refuses_more_blocks_than_the_dense_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
+        four = Partition.of([[0, 1], [2], [3], [4]])
+        assert quotient_matrix(path_graph(5), four).entries.shape == (4, 4)
+        with pytest.raises(
+            ValueError, match="partition of 5 blocks exceeds the dense matrix cap of 4 blocks"
+        ):
+            quotient_matrix(path_graph(5), Partition.of([[v] for v in range(5)]))
 
     def test_imaginary_budget_is_enforced(self):
         rotation = QuotientMatrix(
