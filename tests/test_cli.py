@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import random
 
 import pytest
+from conftest import random_connected
 
 import sqenergy.graphs as graphs_module
 from sqenergy.cli import _default_threads, main
+from sqenergy.graphs import to_graph6
 
 TRIANGLE = "Bw"  # K_3
 K4 = "C~"
@@ -285,3 +289,135 @@ class TestParser:
         assert _default_threads() == 1
         monkeypatch.delenv("SQENERGY_THREADS")
         assert _default_threads() == 1
+
+
+# certify's rules other than join and dominating_vertex, in sweep order
+NINE_RULES = (
+    "avg_degree,complete_bipartite_span,clique,self_join,induced_bipartite,"
+    "odd_cycle,two_positive,rank,energy"
+)
+
+# sha256 of whole outputs: RANDOM is 200 seeded random connected graphs of
+# orders 8-20, SMALL the 995 connected graphs of orders 2-7, and a case
+# naming RECORDS pins the --records file instead of stdout.
+GOLDEN_SHA256 = {
+    "energies-csv": (
+        ("energies", "RANDOM"),
+        "1cdb432b0ed3782295d36750aad24ae949cd8cdb9ab5d7f50a13332877d027ee",
+    ),
+    "energies-json": (
+        ("energies", "--json", "RANDOM"),
+        "6660fbcb6f825ea1b7b6d9da119c32ed4d81d735f8ae6ebe8939ae058ac9c146",
+    ),
+    "certify-text": (
+        ("certify", "SMALL"),
+        "6aea77c0f80802a2c65be693f6580aeca482772bfed177b894b4152c7c7f9bb4",
+    ),
+    "certify-json": (
+        ("certify", "--json", "SMALL"),
+        "f187164a3f25d1bc0a8b5f05508a3c83fde0e11aebfefaca4d0793860caef42f",
+    ),
+    "certify-nine-text": (
+        ("certify", "--rules", NINE_RULES, "SMALL"),
+        "d3bdfd2ac90285bee30300f245536c07907b7510091596a9e3845f3d46554d78",
+    ),
+    "certify-nine-json": (
+        ("certify", "--json", "--rules", NINE_RULES, "SMALL"),
+        "0ef679e36b4b2b8773acb0fc0ac76753ecb9e8bc9f01ff83945365efc6bab099",
+    ),
+    "scan-csv": (
+        ("scan", "--n", "2-6"),
+        "97be05c4a0ff674641a3c8f2617b4d8a2b0b13cbea635e8341e8bf7c723d404d",
+    ),
+    "scan-table1": (
+        ("scan", "--n", "2-6", "--table1"),
+        "40ffd0d023d90613a4fc4e540573933dd52ae78064220ae525fb4853626fde8e",
+    ),
+    "scan-json": (
+        ("scan", "--n", "2-6", "--json"),
+        "9f1c387dd83da694c4ce6e15899d22baf4765d08edf481f9ada3c9f1fc510b97",
+    ),
+    "scan-records": (
+        ("scan", "--n", "2-6", "--records", "RECORDS"),
+        "f943ddb2caef3f8d9c774140065d4e6837ac770b3fed99b51a3a6224c3e96bad",
+    ),
+    "unicyclic-csv": (
+        ("unicyclic-min", "--n", "3-9"),
+        "49c1c8b1bfdf86d1bd4f3b77d723a03ccf6312343323c5f577d3e11e3532439d",
+    ),
+    "unicyclic-json": (
+        ("unicyclic-min", "--n", "3-9", "--json"),
+        "15fd5fb48fd6ef9f7784378e85a7c60ca40bdd476bc8ccc181c894e58f0f506f",
+    ),
+    "m0-csv": (
+        ("m0-curve", "--n", "3-40"),
+        "730f8931dfcee6d9267deb38a8e3b32f0d4ce8e4a9c41841e7b3c28e521bfe86",
+    ),
+    "m0-json": (
+        ("m0-curve", "--n", "3-40", "--json"),
+        "84217cd6612778830fbd4292cecf38fa8b8d52534b49a83cb5a455a910cbad7d",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory, connected_by_order):
+    root = tmp_path_factory.mktemp("golden")
+    rng = random.Random(20240607)
+    corpora = {
+        "RANDOM": [to_graph6(random_connected(rng, rng.randint(8, 20))) for _ in range(200)],
+        "SMALL": [to_graph6(g) for n in range(2, 8) for g in connected_by_order[n]],
+    }
+    paths = {}
+    for name, lines in corpora.items():
+        paths[name] = root / f"{name}.g6"
+        paths[name].write_text("".join(line + "\n" for line in lines))
+    assert len(corpora["SMALL"]) == 995
+    return paths
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+    def test_output_digest(self, case, golden_inputs, tmp_path):
+        argv, digest = GOLDEN_SHA256[case]
+        paths = dict(golden_inputs, RECORDS=tmp_path / "records.jsonl")
+        out = tmp_path / "out.txt"
+        assert main([str(paths.get(a, a)) for a in argv] + ["-o", str(out)]) == 0
+        pinned = paths["RECORDS"] if "RECORDS" in argv else out
+        assert hashlib.sha256(pinned.read_bytes()).hexdigest() == digest
+
+    def test_edgeless_energies_json(self, capsys):
+        code, out, _ = run(capsys, "energies", "--json", "--g6", "?", "--g6", "@", "--g6", "A?")
+        assert code == 0 and out == [
+            '{"graph6": "?", "n": 0, "m": 0, "s_plus": 0, "s_minus": 0, "energy": 0, '
+            '"positive": 0, "zero": 0, "negative": 0}',
+            '{"graph6": "@", "n": 1, "m": 0, "s_plus": 0, "s_minus": 0, "energy": 0.0, '
+            '"positive": 0, "zero": 1, "negative": 0}',
+            '{"graph6": "A?", "n": 2, "m": 0, "s_plus": 0, "s_minus": 0, "energy": 0.0, '
+            '"positive": 0, "zero": 2, "negative": 0}',
+        ]
+
+    def test_edgeless_certify_json(self, capsys):
+        code, out, _ = run(capsys, "certify", "--json", "--g6", "@")
+        assert code == 0 and out == [
+            '{"graph6": "@", "n": 1, "s_plus": 0, "s_minus": 0, "floor": 0, "certificates": ['
+            '{"rule": "avg_degree", "target": "s_plus", "bound": 0.0, '
+            '"witness": {"avg_degree": 0.0}, "conclusive": true}, '
+            '{"rule": "induced_bipartite", "target": "both", "bound": 0.0, '
+            '"witness": {"deleted": [], "remaining_edges": 0, "coarse_bound": 0}, '
+            '"conclusive": true}]}'
+        ]
+
+    def test_edgeless_scan_json_and_records(self, capsys, tmp_path):
+        dest = tmp_path / "records.jsonl"
+        code, out, _ = run(capsys, "scan", "--n", "1", "--json", "--records", str(dest))
+        assert code == 0 and out == [
+            '{"n": 1, "total": 1, "s_plus_gt": 0, "s_minus_gt": 0, "equal": 1, "bipartite": 1, '
+            '"min_s_plus": 0, "min_s_plus_g6": "@", "min_s_plus_ties": ["@"], '
+            '"min_s_minus": 0, "min_s_minus_g6": "@", "min_s_minus_ties": ["@"], '
+            '"min_slack": 0, "rounding_flags": []}'
+        ]
+        assert dest.read_text().splitlines() == [
+            '{"graph6": "@", "n": 1, "m": 0, "s_plus": 0, "s_minus": 0, "positive": 0, '
+            '"zero": 1, "negative": 0, "bipartite": true, "conjecture_ok": true}'
+        ]
