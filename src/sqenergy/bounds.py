@@ -268,22 +268,19 @@ def _balanced_complement_split(f: GraphFacts) -> Optional[tuple[list[int], list[
 
 
 def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
-    """Certificates from spanning structure: dominating vertex, spanning
-    complete bipartite subgraph, large clique.
+    """Certificates from spanning structure: spanning complete bipartite
+    subgraph, large clique.
 
-    All three rules feed the same mechanism (a known subgraph forces
-    lam_1 and hence s_plus): a dominating vertex gives n - 1, a spanning
-    K_{r, n-r} gives r (n - r), and a clique K_{r+1} gives r^2 which is
-    useful once r >= sqrt(n - 1).
+    Both rules feed the same mechanism (a known subgraph forces lam_1 and
+    hence s_plus): a spanning K_{r, n-r} gives r (n - r), at least n - 1,
+    and a clique K_{r+1} gives r^2 which is useful once r >= sqrt(n - 1).
+    A dominating vertex is the spanning K_{1, n-1}, and any join contains
+    a spanning complete bipartite graph, so neither needs a rule of its own.
     """
     f = _facts(g)
     g = f.graph
     n = g.n
     out = []
-    for v in range(n):
-        if g.degree(v) == n - 1 and n >= 2:
-            out.append(_certificate("dominating_vertex", "s_plus", n - 1, {"vertex": v}, n))
-            break
     split = _balanced_complement_split(f)
     if split is not None:
         r = len(split[0])
@@ -327,7 +324,9 @@ def check_join(
 
     With no split supplied, one is detected from the components of the
     complement (a graph is a join iff its complement is disconnected).
-    A supplied split is validated edge by edge.
+    A supplied split is validated edge by edge.  ``certify`` does not run
+    this check: ``complete_bipartite_span`` certifies r (n - r) >= n - 1
+    on the same split.
     """
     f = _facts(g)
     g = f.graph
@@ -895,8 +894,7 @@ def _energy_certificates(f: GraphFacts) -> list[BoundCertificate]:
 # so wrappers installed on this module see every call the sweep makes.
 _SWEEP = (
     (("avg_degree",), lambda f: [check_avg_degree(f)]),
-    (("dominating_vertex", "complete_bipartite_span", "clique"), lambda f: check_spanning_structures(f)),
-    (("join",), lambda f: [check_join(f)]),
+    (("complete_bipartite_span", "clique"), lambda f: check_spanning_structures(f)),
     (("self_join",), lambda f: [check_self_join(f)]),
     (("induced_bipartite",), lambda f: [induced_bipartite_bound(f)]),
     (("odd_cycle",), _odd_cycle_certificates),

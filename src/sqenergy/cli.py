@@ -28,14 +28,7 @@ from .partitions import (
     quotient_matrix,
 )
 from .spectral import graph_profile
-from .survey import (
-    SURVEY_CSV_HEADER,
-    SurveyRecord,
-    leaf_increment_profile,
-    m0_curve,
-    survey,
-    survey_csv_row,
-)
+from .survey import SurveyRecord, leaf_increment_profile, m0_curve, survey
 
 __all__ = ["main"]
 
@@ -61,29 +54,53 @@ def _jreal(x: float) -> float:
     return round(x, 6)
 
 
+def _csv(fields: Iterable) -> str:
+    """One CSV row: floats to 6 decimals, everything else as ``str``."""
+    return ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in fields)
+
+
+def _json(record: dict) -> str:
+    """One JSON object; top-level floats are rounded, nested values kept as they are."""
+    return json.dumps({k: _jreal(v) if isinstance(v, float) else v for k, v in record.items()})
+
+
+def _record(header: str, values: tuple, as_json: bool) -> str:
+    """One record: the CSV row under ``header``, or JSON keyed by its names."""
+    return _json(dict(zip(header.split(","), values))) if as_json else _csv(values)
+
+
 # ---------------------------------------------------------------------------
 # graph input
 
 
-def _decode_lines(lines: Iterable[str], source: str) -> Iterator[Graph]:
+def _decoded(text: str) -> tuple[str, Graph]:
+    """The graph6 text to echo, less any ``>>graph6<<`` header, and its graph.
+
+    The decoder accepts one order field per order, so the echo equals
+    ``to_graph6`` of the graph.
+    """
+    return text.removeprefix(">>graph6<<").rstrip("\n"), from_graph6(text)
+
+
+def _decode_lines(lines: Iterable[str], source: str) -> Iterator[tuple[str, Graph]]:
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
         try:
-            yield from_graph6(text)
+            yield _decoded(text)
         except Graph6Error as exc:
             raise Graph6Error(f"{source}, line {lineno}: {exc}") from None
 
 
-def _input_graphs(args: argparse.Namespace) -> Iterator[Graph]:
+def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
+    """Each input graph with the text to echo for it."""
     inline = getattr(args, "g6", None)
     path = getattr(args, "input", None)
     if inline and path:
         raise UsageError("give an input file or --g6 strings, not both")
     if inline:
-        for text in inline:
-            yield from_graph6(text)
+        yield from map(_decoded, inline)
     elif path:
         with open(path, "r", encoding="ascii") as fh:
             yield from _decode_lines(fh, path)
@@ -91,7 +108,7 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[Graph]:
         yield from _decode_lines(sys.stdin, "<stdin>")
 
 
-def _single_graph(args: argparse.Namespace) -> Graph:
+def _single_graph(args: argparse.Namespace) -> tuple[str, Graph]:
     graphs = list(_input_graphs(args))
     if len(graphs) != 1:
         raise ValueError(f"expected exactly one graph, got {len(graphs)}")
@@ -143,33 +160,11 @@ ENERGIES_CSV_HEADER = "graph6,n,m,s_plus,s_minus,energy,positive,zero,negative"
 def _cmd_energies(args: argparse.Namespace, out: IO[str]) -> int:
     if not args.json:
         print(ENERGIES_CSV_HEADER, file=out)
-    for g in _input_graphs(args):
+    for g6, g in _input_graphs(args):
         prof = graph_profile(g)
-        g6 = to_graph6(g)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "graph6": g6,
-                        "n": g.n,
-                        "m": g.m,
-                        "s_plus": _jreal(prof.s_plus),
-                        "s_minus": _jreal(prof.s_minus),
-                        "energy": _jreal(prof.energy),
-                        "positive": prof.inertia.positive,
-                        "zero": prof.inertia.zero,
-                        "negative": prof.inertia.negative,
-                    }
-                ),
-                file=out,
-            )
-        else:
-            print(
-                f"{g6},{g.n},{g.m},{_fmt(prof.s_plus)},{_fmt(prof.s_minus)},"
-                f"{_fmt(prof.energy)},{prof.inertia.positive},"
-                f"{prof.inertia.zero},{prof.inertia.negative}",
-                file=out,
-            )
+        counts = (prof.inertia.positive, prof.inertia.zero, prof.inertia.negative)
+        row = (g6, g.n, g.m, prof.s_plus, prof.s_minus, prof.energy, *counts)
+        print(_record(ENERGIES_CSV_HEADER, row, args.json), file=out)
     return 0
 
 
@@ -187,8 +182,7 @@ def _parse_rules(text: Optional[str]) -> Optional[list[str]]:
 
 def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
     rules = _parse_rules(args.rules)
-    for g in _input_graphs(args):
-        g6 = to_graph6(g)
+    for g6, g in _input_graphs(args):
         facts = GraphFacts(g)
         certs = certify(facts, rules=rules)
         prof = facts.profile
@@ -196,19 +190,15 @@ def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
         plus_ok = any(c.covers("s_plus") for c in certs)
         minus_ok = any(c.covers("s_minus") for c in certs)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "graph6": g6,
-                        "n": g.n,
-                        "s_plus": _jreal(prof.s_plus),
-                        "s_minus": _jreal(prof.s_minus),
-                        "floor": floor,
-                        "certificates": [c.to_json_dict() for c in certs],
-                    }
-                ),
-                file=out,
-            )
+            record = {
+                "graph6": g6,
+                "n": g.n,
+                "s_plus": prof.s_plus,
+                "s_minus": prof.s_minus,
+                "floor": floor,
+                "certificates": [c.to_json_dict() for c in certs],
+            }
+            print(_json(record), file=out)
             continue
         for c in certs:
             status = "conclusive" if c.conclusive else "inconclusive"
@@ -230,28 +220,12 @@ def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _report_json(report) -> str:
-    return json.dumps(
-        {
-            "n": report.n,
-            "total": report.total,
-            "s_plus_gt": report.s_plus_gt,
-            "s_minus_gt": report.s_minus_gt,
-            "equal": report.equal,
-            "bipartite": report.bipartite,
-            "min_s_plus": _jreal(report.min_s_plus),
-            "min_s_plus_g6": report.min_s_plus_g6,
-            "min_s_plus_ties": list(report.min_s_plus_ties),
-            "min_s_minus": _jreal(report.min_s_minus),
-            "min_s_minus_g6": report.min_s_minus_g6,
-            "min_s_minus_ties": list(report.min_s_minus_ties),
-            "min_slack": _jreal(report.min_slack),
-            "rounding_flags": list(report.rounding_flags),
-        }
-    )
-
-
+# survey report columns, named as the report's attributes
 TABLE1_CSV_HEADER = "n,total,s_plus_gt,s_minus_gt,equal,bipartite"
+SURVEY_CSV_HEADER = (
+    "n,total,s_plus_gt,s_minus_gt,equal,bipartite,"
+    "min_s_plus,min_s_plus_g6,min_s_minus,min_s_minus_g6"
+)
 
 
 @contextlib.contextmanager
@@ -263,23 +237,7 @@ def _record_sink(path: Optional[str]):
     with open(path, "w", encoding="utf-8") as fh:
 
         def sink(rec: SurveyRecord) -> None:
-            fh.write(
-                json.dumps(
-                    {
-                        "graph6": rec.graph6,
-                        "n": rec.n,
-                        "m": rec.m,
-                        "s_plus": _jreal(rec.s_plus),
-                        "s_minus": _jreal(rec.s_minus),
-                        "positive": rec.positive,
-                        "zero": rec.zero,
-                        "negative": rec.negative,
-                        "bipartite": rec.bipartite,
-                        "conjecture_ok": rec.conjecture_ok,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_json(vars(rec)) + "\n")
 
         yield sink
 
@@ -289,24 +247,23 @@ def _emit_survey_rows(
     out: IO[str],
     streams: Iterable[tuple[int, Iterable[Graph]]],
 ) -> int:
-    table1 = getattr(args, "table1", False)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise UsageError(
+            f"--threads must be between 1 and {cpus} (the CPU count), got {args.threads}"
+        )
+    header = TABLE1_CSV_HEADER if getattr(args, "table1", False) else SURVEY_CSV_HEADER
     if not args.json:
-        print(TABLE1_CSV_HEADER if table1 else SURVEY_CSV_HEADER, file=out)
+        print(header, file=out)
     with _record_sink(args.records) as sink:
         for _, graphs in streams:
             report = survey(graphs, threads=args.threads, record_sink=sink)
             for flag in report.rounding_flags:
                 print(f"sqenergy: note: {flag}", file=sys.stderr)
             if args.json:
-                print(_report_json(report), file=out)
-            elif table1:
-                print(
-                    f"{report.n},{report.total},{report.s_plus_gt},"
-                    f"{report.s_minus_gt},{report.equal},{report.bipartite}",
-                    file=out,
-                )
+                print(_json(vars(report)), file=out)
             else:
-                print(survey_csv_row(report), file=out)
+                print(_csv(getattr(report, name) for name in header.split(",")), file=out)
             out.flush()
     return 0
 
@@ -340,7 +297,7 @@ def _cmd_family(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace, out: IO[str]) -> int:
-    g = _single_graph(args)
+    g6, g = _single_graph(args)
     if args.partition is not None:
         part = parse_partition(args.partition)
     else:
@@ -350,18 +307,14 @@ def _cmd_quotient(args: argparse.Namespace, out: IO[str]) -> int:
     q = quotient_matrix(g, part)
     spec = quotient_eigenvalues(q)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "graph6": to_graph6(g),
-                    "blocks": [list(b) for b in part.blocks],
-                    "equitable": q.equitable,
-                    "matrix": [[_jreal(x) for x in row] for row in q.entries.tolist()],
-                    "eigenvalues": [_jreal(v) for v in spec.values],
-                }
-            ),
-            file=out,
-        )
+        record = {
+            "graph6": g6,
+            "blocks": [list(b) for b in part.blocks],
+            "equitable": q.equitable,
+            "matrix": [[_jreal(x) for x in row] for row in q.entries.tolist()],
+            "eigenvalues": [_jreal(v) for v in spec.values],
+        }
+        print(_json(record), file=out)
         return 0
     print(
         "blocks: " + "; ".join(",".join(str(v) for v in b) for b in part.blocks),
@@ -380,26 +333,21 @@ LEAF_CSV_HEADER = "graph6,vertex,delta_s_plus,delta_s_minus"
 def _cmd_leaf_profile(args: argparse.Namespace, out: IO[str]) -> int:
     if not args.json:
         print(LEAF_CSV_HEADER, file=out)
-    for g in _input_graphs(args):
-        g6 = to_graph6(g)
+    for g6, g in _input_graphs(args):
         increments = leaf_increment_profile(g)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "graph6": g6,
-                        "increments": [
-                            {"vertex": v, "delta_s_plus": _jreal(dp), "delta_s_minus": _jreal(dm)}
-                            for v, (dp, dm) in enumerate(increments)
-                        ],
-                    }
-                ),
-                file=out,
-            )
+            rows = [
+                {"vertex": v, "delta_s_plus": _jreal(dp), "delta_s_minus": _jreal(dm)}
+                for v, (dp, dm) in enumerate(increments)
+            ]
+            print(_json({"graph6": g6, "increments": rows}), file=out)
         else:
             for v, (dp, dm) in enumerate(increments):
-                print(f"{g6},{v},{_fmt(dp)},{_fmt(dm)}", file=out)
+                print(_csv((g6, v, dp, dm)), file=out)
     return 0
+
+
+M0_CSV_HEADER = "n,m0"
 
 
 def _cmd_m0_curve(args: argparse.Namespace, out: IO[str]) -> int:
@@ -407,14 +355,10 @@ def _cmd_m0_curve(args: argparse.Namespace, out: IO[str]) -> int:
     bad = [n for n in orders if n < 3]
     if bad:
         raise UsageError("m0 threshold needs n >= 3")
-    points = m0_curve(orders)
-    if args.json:
-        for n, m0 in points:
-            print(json.dumps({"n": n, "m0": _jreal(m0)}), file=out)
-        return 0
-    print("n,m0", file=out)
-    for n, m0 in points:
-        print(f"{n},{_fmt(m0)}", file=out)
+    if not args.json:
+        print(M0_CSV_HEADER, file=out)
+    for point in m0_curve(orders):
+        print(_record(M0_CSV_HEADER, point, args.json), file=out)
     return 0
 
 

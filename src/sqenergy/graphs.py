@@ -147,6 +147,8 @@ def _g6_header(text: str) -> tuple[int, int]:
             if not 63 <= d <= 126:
                 raise Graph6Error(f"invalid graph6 byte {d} (byte {i})")
             n = n << 6 | (d - 63)
+        if n <= (62 if k == 3 else 258047):  # a shorter order field exists
+            raise Graph6Error("non-canonical graph6 order field (byte 0)")
         return n, start + k
     if not 63 <= c <= 126:
         raise Graph6Error(f"invalid graph6 byte {c} (byte 0)")

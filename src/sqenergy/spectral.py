@@ -108,9 +108,9 @@ def inertia_of(spectrum: Spectrum) -> Inertia:
 
 def energy_profile(spectrum: Spectrum) -> EnergyProfile:
     pos, neg = spectrum.positive, spectrum.negative
-    s_plus = sum(v * v for v in pos)
-    s_minus = sum(v * v for v in neg)
-    energy = sum(abs(v) for v in spectrum.values)
+    s_plus = float(sum(v * v for v in pos))
+    s_minus = float(sum(v * v for v in neg))
+    energy = float(sum(abs(v) for v in spectrum.values))
     zero = len(spectrum.values) - len(pos) - len(neg)
     inertia = Inertia(len(pos), zero, len(neg), spectrum.fragile)
     return EnergyProfile(s_plus, s_minus, energy, inertia)

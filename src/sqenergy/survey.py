@@ -24,8 +24,6 @@ __all__ = [
     "RuleCoverage",
     "CoverageReport",
     "survey",
-    "SURVEY_CSV_HEADER",
-    "survey_csv_row",
     "m0_curve",
     "leaf_increment_profile",
     "certify_corpus",
@@ -211,22 +209,6 @@ def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyReco
             yield from pool.imap(_record_payload, payloads(), chunksize=64)
 
     return run()
-
-
-SURVEY_CSV_HEADER = (
-    "n,total,s_plus_gt,s_minus_gt,equal,bipartite,"
-    "min_s_plus,min_s_plus_g6,min_s_minus,min_s_minus_g6"
-)
-
-
-def survey_csv_row(report: SurveyReport) -> str:
-    """One CSV row matching SURVEY_CSV_HEADER, energies to 6 decimals."""
-    return (
-        f"{report.n},{report.total},{report.s_plus_gt},{report.s_minus_gt},"
-        f"{report.equal},{report.bipartite},"
-        f"{report.min_s_plus:.6f},{report.min_s_plus_g6},"
-        f"{report.min_s_minus:.6f},{report.min_s_minus_g6}"
-    )
 
 
 def m0_curve(ns: Iterable[int]) -> list[tuple[int, float]]:

@@ -100,11 +100,12 @@ class TestMaxClique:
 
 class TestSpanningStructures:
     def test_dominating_vertex(self):
+        # a dominating vertex is the spanning K_{1, n-1}: no rule of its own
         certs = {c.rule: c for c in check_spanning_structures(star_graph(6))}
-        assert "dominating_vertex" in certs
-        cert = certs["dominating_vertex"]
+        assert "dominating_vertex" not in certs
+        cert = certs["complete_bipartite_span"]
         assert cert.bound_value == pytest.approx(5.0) and cert.conclusive
-        assert cert.witness["vertex"] == 0
+        assert cert.witness == {"side": [1, 2, 3, 4, 5], "r": 5}
 
     def test_spanning_complete_bipartite(self):
         certs = {c.rule: c for c in check_spanning_structures(complete_bipartite_graph(3, 3))}
@@ -466,10 +467,8 @@ class TestCertifyPipeline:
     def test_rule_names_and_order(self):
         assert CERTIFY_RULES == (
             "avg_degree",
-            "dominating_vertex",
             "complete_bipartite_span",
             "clique",
-            "join",
             "self_join",
             "induced_bipartite",
             "odd_cycle",
@@ -492,7 +491,7 @@ class TestCertifyPipeline:
         g = star_graph(7)
         certs = certify(g)
         rules = {c.rule for c in certs}
-        assert "dominating_vertex" in rules and "induced_bipartite" in rules
+        assert "complete_bipartite_span" in rules and "induced_bipartite" in rules
         conclusive_targets = {c.target for c in certs if c.conclusive}
         assert "both" in conclusive_targets or {"s_plus", "s_minus"} <= conclusive_targets
 

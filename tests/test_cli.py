@@ -11,8 +11,10 @@ import pytest
 from conftest import random_connected
 
 import sqenergy.graphs as graphs_module
-from sqenergy.cli import _default_threads, main
-from sqenergy.graphs import to_graph6
+from sqenergy.cli import SURVEY_CSV_HEADER, _default_threads, main
+from sqenergy.enumeration import enumerate_connected
+from sqenergy.graphs import from_graph6, to_graph6
+from sqenergy.survey import survey
 
 TRIANGLE = "Bw"  # K_3
 K4 = "C~"
@@ -60,6 +62,12 @@ class TestEnergies:
         src.write_text(f"{TRIANGLE}\n")
         code, _, err = run(capsys, "energies", str(src), "--g6", K4)
         assert code == 2 and "usage error" in err
+
+    def test_graph6_column_echoes_the_input(self, capsys):
+        code, out, _ = run(capsys, "energies", "--g6", ">>graph6<<Bw", "--g6", "Bw\n")
+        assert code == 0 and [row.split(",")[0] for row in out[1:]] == ["Bw", "Bw"]
+        code, _, err = run(capsys, "energies", "--g6", "~??Bw")
+        assert code == 1 and err == "sqenergy: error: non-canonical graph6 order field (byte 0)\n"
 
     def test_bad_graph6_exits_one(self, capsys):
         code, _, err = run(capsys, "energies", "--g6", '"')
@@ -132,6 +140,18 @@ class TestScan:
         fields = out[1].split(",")
         # trees attain the order-5 minimum of both square energies
         assert code == 0 and fields[6] == "4.000000" and fields[8] == "4.000000"
+
+    def test_csv_row_shape(self, capsys):
+        report = survey(enumerate_connected(5))
+        code, out, _ = run(capsys, "scan", "--n", "5")
+        assert code == 0 and out[0] == SURVEY_CSV_HEADER
+        row = out[1]
+        fields = row.split(",")
+        assert len(fields) == len(SURVEY_CSV_HEADER.split(","))
+        assert fields[:6] == ["5", "21", "15", "1", "5", "5"]
+        assert fields[6] == f"{report.min_s_plus:.6f}"
+        from_graph6(fields[7])  # the witness is valid graph6
+        assert report.rounding_flags == ()
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "scan", "--n", "5", "--json")
@@ -280,6 +300,34 @@ class TestParser:
             main([])
         assert exc.value.code == 2
 
+    @pytest.fixture
+    def two_cpus_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+
+    @pytest.mark.parametrize("subcommand", ["scan", "unicyclic-min"])
+    @pytest.mark.parametrize("threads", ["0", "3", "100000"])
+    def test_threads_outside_the_cpu_count_are_usage_errors(
+        self, capsys, two_cpus_no_pool, subcommand, threads
+    ):
+        code, out, err = run(capsys, subcommand, "--n", "5", "--threads", threads)
+        assert code == 2 and out == []
+        assert err == (
+            "sqenergy: usage error: --threads must be between 1 and 2 (the CPU count), "
+            f"got {threads}\n"
+        )
+
+    @pytest.mark.parametrize("subcommand", ["scan", "unicyclic-min"])
+    def test_threads_from_the_environment_are_bounded(
+        self, capsys, monkeypatch, two_cpus_no_pool, subcommand
+    ):
+        monkeypatch.setenv("SQENERGY_THREADS", "100000")
+        code, out, err = run(capsys, subcommand, "--n", "5")
+        assert code == 2 and out == [] and "got 100000" in err
+
     def test_default_threads_env(self, monkeypatch):
         monkeypatch.setenv("SQENERGY_THREADS", "4")
         assert _default_threads() == 4
@@ -291,7 +339,7 @@ class TestParser:
         assert _default_threads() == 1
 
 
-# certify's rules other than join and dominating_vertex, in sweep order
+# every certify rule, listed: the default sweep prints what this --rules list does
 NINE_RULES = (
     "avg_degree,complete_bipartite_span,clique,self_join,induced_bipartite,"
     "odd_cycle,two_positive,rank,energy"
@@ -311,11 +359,11 @@ GOLDEN_SHA256 = {
     ),
     "certify-text": (
         ("certify", "SMALL"),
-        "6aea77c0f80802a2c65be693f6580aeca482772bfed177b894b4152c7c7f9bb4",
+        "d3bdfd2ac90285bee30300f245536c07907b7510091596a9e3845f3d46554d78",
     ),
     "certify-json": (
         ("certify", "--json", "SMALL"),
-        "f187164a3f25d1bc0a8b5f05508a3c83fde0e11aebfefaca4d0793860caef42f",
+        "0ef679e36b4b2b8773acb0fc0ac76753ecb9e8bc9f01ff83945365efc6bab099",
     ),
     "certify-nine-text": (
         ("certify", "--rules", NINE_RULES, "SMALL"),
@@ -389,18 +437,18 @@ class TestGolden:
     def test_edgeless_energies_json(self, capsys):
         code, out, _ = run(capsys, "energies", "--json", "--g6", "?", "--g6", "@", "--g6", "A?")
         assert code == 0 and out == [
-            '{"graph6": "?", "n": 0, "m": 0, "s_plus": 0, "s_minus": 0, "energy": 0, '
+            '{"graph6": "?", "n": 0, "m": 0, "s_plus": 0.0, "s_minus": 0.0, "energy": 0.0, '
             '"positive": 0, "zero": 0, "negative": 0}',
-            '{"graph6": "@", "n": 1, "m": 0, "s_plus": 0, "s_minus": 0, "energy": 0.0, '
+            '{"graph6": "@", "n": 1, "m": 0, "s_plus": 0.0, "s_minus": 0.0, "energy": 0.0, '
             '"positive": 0, "zero": 1, "negative": 0}',
-            '{"graph6": "A?", "n": 2, "m": 0, "s_plus": 0, "s_minus": 0, "energy": 0.0, '
+            '{"graph6": "A?", "n": 2, "m": 0, "s_plus": 0.0, "s_minus": 0.0, "energy": 0.0, '
             '"positive": 0, "zero": 2, "negative": 0}',
         ]
 
     def test_edgeless_certify_json(self, capsys):
         code, out, _ = run(capsys, "certify", "--json", "--g6", "@")
         assert code == 0 and out == [
-            '{"graph6": "@", "n": 1, "s_plus": 0, "s_minus": 0, "floor": 0, "certificates": ['
+            '{"graph6": "@", "n": 1, "s_plus": 0.0, "s_minus": 0.0, "floor": 0, "certificates": ['
             '{"rule": "avg_degree", "target": "s_plus", "bound": 0.0, '
             '"witness": {"avg_degree": 0.0}, "conclusive": true}, '
             '{"rule": "induced_bipartite", "target": "both", "bound": 0.0, '
@@ -413,11 +461,11 @@ class TestGolden:
         code, out, _ = run(capsys, "scan", "--n", "1", "--json", "--records", str(dest))
         assert code == 0 and out == [
             '{"n": 1, "total": 1, "s_plus_gt": 0, "s_minus_gt": 0, "equal": 1, "bipartite": 1, '
-            '"min_s_plus": 0, "min_s_plus_g6": "@", "min_s_plus_ties": ["@"], '
-            '"min_s_minus": 0, "min_s_minus_g6": "@", "min_s_minus_ties": ["@"], '
-            '"min_slack": 0, "rounding_flags": []}'
+            '"min_s_plus": 0.0, "min_s_plus_g6": "@", "min_s_plus_ties": ["@"], '
+            '"min_s_minus": 0.0, "min_s_minus_g6": "@", "min_s_minus_ties": ["@"], '
+            '"min_slack": 0.0, "rounding_flags": []}'
         ]
         assert dest.read_text().splitlines() == [
-            '{"graph6": "@", "n": 1, "m": 0, "s_plus": 0, "s_minus": 0, "positive": 0, '
+            '{"graph6": "@", "n": 1, "m": 0, "s_plus": 0.0, "s_minus": 0.0, "positive": 0, '
             '"zero": 1, "negative": 0, "bipartite": true, "conjecture_ok": true}'
         ]

@@ -161,8 +161,18 @@ class TestGraph6:
             ("G???", "truncated graph6 payload: need 5 bytes, got 3 (byte 4)"),
             ("G??????", "trailing garbage after graph6 payload (byte 6)"),
             ("G?#??" + chr(63 + 1), "invalid graph6 byte 35 (byte 2)"),
+            # an order field longer than needed: K_3 in 4 bytes, then the largest
+            # orders each short form holds (62 and 258047); one more is accepted
+            ("~??Bw", "non-canonical graph6 order field (byte 0)"),
+            ("~??}", "non-canonical graph6 order field (byte 0)"),
+            ("~??~", "truncated graph6 payload: need 326 bytes, got 0 (byte 4)"),
+            ("~~???}~~", "non-canonical graph6 order field (byte 0)"),
+            ("~~???~??", "truncated graph6 payload: need 5549042688 bytes, got 0 (byte 8)"),
         ],
-        ids=["invalid-mid", "invalid-last", "padding", "truncated", "trailing", "invalid-first"],
+        ids=[
+            "invalid-mid", "invalid-last", "padding", "truncated", "trailing", "invalid-first",
+            "long-order-k3", "long-order-62", "order-63", "long-order-258047", "order-258048",
+        ],
     )
     def test_error_messages_are_pinned(self, text, message):
         with pytest.raises(Graph6Error) as info:

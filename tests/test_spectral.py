@@ -115,6 +115,12 @@ class TestEnergyProfile:
         assert prof.energy == pytest.approx(4.0, abs=1e-9)
         assert prof.inertia.zero == 3
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_edgeless_energies_are_floats(self, n):
+        prof = graph_profile(from_edges(n, []))
+        assert (prof.s_plus, prof.s_minus, prof.energy) == (0.0, 0.0, 0.0)
+        assert all(type(x) is float for x in (prof.s_plus, prof.s_minus, prof.energy))
+
     @given(graphs(max_n=12))
     def test_square_energies_sum_to_2m(self, g):
         prof = graph_profile(g)
