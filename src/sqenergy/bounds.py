@@ -751,7 +751,8 @@ def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     if g.n < 3:
         raise ValueError(f"rank bound assumes order >= 3, got {g.n}")
     inert = f.profile.inertia
-    r = inert.positive + inert.negative if f.exact_zero is None else g.n - f.exact_zero
+    f.exact_zero  # raises when the exact zero count disagrees with the inertia
+    r = inert.positive + inert.negative
     gate = r * r / (4.0 * (g.n - 1))
     plus_fires = inert.positive <= gate
     minus_fires = inert.negative <= gate
@@ -877,15 +878,14 @@ def _two_positive_certificates(f: GraphFacts) -> list[BoundCertificate]:
 
 def _energy_certificates(f: GraphFacts) -> list[BoundCertificate]:
     pb = energy_count_bound(f)
-    n = f.graph.n
-    return [
-        _certificate("energy", target, bound, {key: bound}, n)
+    certs = [
+        _certificate("energy", target, bound, {key: bound}, f.graph.n)
         for target, bound, key in (
             ("s_plus", pb.s_plus_lower, "energy_sq_over_4pi"),
             ("s_minus", pb.s_minus_lower, "energy_sq_over_4nu"),
         )
-        if bound >= n - 1 - CONCLUSIVE_TOL
     ]
+    return [c for c in certs if c.conclusive]
 
 
 # The certify sweep, in output order: the rule names a check can emit,

@@ -16,7 +16,7 @@ import os
 import sys
 from typing import IO, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, GraphFacts, certify
+from .bounds import GraphFacts, _wanted_rules, certify
 from .enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
 from .families import FAMILIES, generate_family
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
@@ -35,14 +35,6 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     """Bad flag combination caught after argparse (exit status 2)."""
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("SQENERGY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(x: float) -> str:
@@ -172,11 +164,10 @@ def _parse_rules(text: Optional[str]) -> Optional[list[str]]:
     if text is None:
         return None
     rules = [tok.strip() for tok in text.split(",") if tok.strip()]
-    bad = [r for r in rules if r not in CERTIFY_RULES]
-    if bad:
-        raise UsageError(
-            f"unknown rule(s) {', '.join(bad)}; available: {', '.join(CERTIFY_RULES)}"
-        )
+    try:
+        _wanted_rules(rules)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return rules
 
 
@@ -393,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="survey all connected graphs of given order(s)")
     p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
     p.add_argument("--table1", action="store_true", help="counts-only columns")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=os.environ.get("SQENERGY_THREADS", "1"))
     p.add_argument("--json", action="store_true", help="JSON report per order")
     p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
     _add_output_argument(p)
@@ -404,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="survey connected non-bipartite unicyclic graphs of given order(s)",
     )
     p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=os.environ.get("SQENERGY_THREADS", "1"))
     p.add_argument("--json", action="store_true", help="JSON report per order")
     p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
     p.add_argument(

@@ -237,19 +237,25 @@ def complement(g: Graph) -> Graph:
 
 def component_masks(g: Graph) -> list[int]:
     """Connected components as vertex bitsets, ordered by smallest member."""
+    return [sum(layers) for layers in _layers(g)]  # layers are disjoint: sum is union
+
+
+def _layers(g: Graph) -> list[list[int]]:
+    """Breadth-first layers (vertex bitsets) of each component from its smallest vertex."""
+    rows = g.rows
     todo = (1 << g.n) - 1
     out = []
     while todo:
-        seed = todo & -todo
-        reach = seed
-        frontier = seed
+        frontier = reach = todo & -todo
+        layers = []
         while frontier:
+            layers.append(frontier)
             grow = 0
             for u in bits(frontier):
-                grow |= g.rows[u]
+                grow |= rows[u]
             frontier = grow & ~reach
             reach |= grow
-        out.append(reach)
+        out.append(layers)
         todo &= ~reach
     return out
 
@@ -383,121 +389,87 @@ class CactusProfile:
 
 
 def stats(g: Graph) -> GraphStats:
-    """Order, size, degree summary, connectivity and bipartiteness."""
+    """Order, size, degree summary, connectivity and bipartiteness.
+
+    Each vertex is coloured by the parity of its breadth-first layer; the
+    graph is bipartite iff no edge lies inside a layer.
+    """
     n = g.n
     m = g.m
-    color = [-1] * n
-    connected = True
+    comps = _layers(g)
+    color = [0] * n
     bipartite = True
-    if n:
-        comp = 0
-        for s in range(n):
-            if color[s] >= 0:
-                continue
-            comp += 1
-            color[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in bits(g.rows[u]):
-                    if color[w] < 0:
-                        color[w] = color[u] ^ 1
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        bipartite = False
-        connected = comp <= 1
+    for layers in comps:
+        for i, layer in enumerate(layers):
+            for u in bits(layer):
+                if g.rows[u] & layer:
+                    bipartite = False
+                color[u] = i & 1
     return GraphStats(
         n=n,
         m=m,
         avg_degree=2.0 * m / n if n else 0.0,
         max_degree=max((r.bit_count() for r in g.rows), default=0),
-        connected=connected,
+        connected=len(comps) <= 1,
         bipartite=bipartite,
-        bipartition=tuple(color) if bipartite and n else (() if bipartite else None),
+        bipartition=tuple(color) if bipartite else None,
     )
 
 
 def cactus_profile(g: Graph) -> CactusProfile:
     """Decide whether g is a cactus and list its cycles.
 
-    A connected graph is a cactus iff every block (biconnected component)
-    is a single edge or a simple cycle.  Raises on disconnected input.
+    A connected graph is a cactus iff the fundamental cycles of a spanning
+    tree share no edge: any other cycle is a union of two or more of them.
+    Raises on disconnected input.
     """
-    if g.n == 0 or len(component_masks(g)) != 1:
+    comps = _layers(g)
+    if len(comps) != 1:
         raise ValueError("cactus profile requires a connected graph")
     if g.m > 3 * (g.n - 1) // 2:  # more edges than any cactus of this order
         return CactusProfile(False, (), 0, 0)
-    blocks = _blocks(g)
-    cycles: list[tuple[int, ...]] = []
-    for edge_list in blocks:
-        if len(edge_list) == 1:
-            continue
-        verts = sorted({x for e in edge_list for x in e})
-        deg: dict[int, int] = {v: 0 for v in verts}
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for a, b in edge_list:
-            deg[a] += 1
-            deg[b] += 1
-            adj[a].append(b)
-            adj[b].append(a)
-        if len(edge_list) != len(verts) or any(d != 2 for d in deg.values()):
-            return CactusProfile(False, (), 0, 0)
-        # walk the cycle from its smallest vertex toward its smaller neighbour
-        start = verts[0]
-        walk = [start]
-        prev, cur = start, min(adj[start])
-        while cur != start:
-            walk.append(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        cycles.append(tuple(walk))
+    cycles = _fundamental_cycles(g, comps[0])
+    if cycles is None:
+        return CactusProfile(False, (), 0, 0)
     cycles.sort(key=lambda c: (len(c), c))
     odd = sum(1 for c in cycles if len(c) % 2)
     return CactusProfile(True, tuple(cycles), odd, len(cycles) - odd)
 
 
-def _blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Biconnected components as edge lists (iterative Hopcroft–Tarjan)."""
-    n = g.n
-    num = [0] * n  # DFS numbers, 1-based; 0 = unvisited
-    low = [0] * n
-    parent = [-1] * n
-    counter = 0
-    estack: list[tuple[int, int]] = []
-    out: list[list[tuple[int, int]]] = []
-    for root in range(n):
-        if num[root]:
-            continue
-        counter += 1
-        num[root] = low[root] = counter
-        work = [(root, iter(bits(g.rows[root])))]
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for w in it:
-                if not num[w]:
-                    estack.append((u, w))
-                    counter += 1
-                    num[w] = low[w] = counter
-                    parent[w] = u
-                    work.append((w, iter(bits(g.rows[w]))))
-                    advanced = True
-                    break
-                if w != parent[u] and num[w] < num[u]:
-                    estack.append((u, w))
-                    low[u] = min(low[u], num[w])
-            if advanced:
+def _fundamental_cycles(g: Graph, layers: list[int]) -> list[tuple[int, ...]] | None:
+    """The cycle each non-tree edge closes in the breadth-first tree, or None
+    once two share a tree edge.  Each vertex hangs on its smallest neighbour
+    in the layer above.
+    """
+    rows = g.rows
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    for i in range(1, len(layers)):
+        above = layers[i - 1]
+        for v in bits(layers[i]):
+            up = rows[v] & above
+            parent[v] = (up & -up).bit_length() - 1
+            depth[v] = i
+    used = [False] * g.n  # tree edge (v, parent[v]), indexed by its child v
+    cycles = []
+    for u in range(g.n):
+        for w in bits(rows[u] >> (u + 1) << (u + 1)):
+            if parent[w] == u or parent[u] == w:
                 continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-                if low[u] >= num[p]:
-                    comp = []
-                    while True:
-                        e = estack.pop()
-                        comp.append(e)
-                        if e == (p, u):
-                            break
-                    out.append(comp)
-    return out
+            a, b, path_a, path_b = u, w, [u], [w]
+            while a != b:  # climb the deeper end until both meet
+                if depth[a] < depth[b]:
+                    a, b, path_a, path_b = b, a, path_b, path_a
+                if used[a]:
+                    return None
+                used[a] = True
+                a = parent[a]
+                path_a.append(a)
+            # walk from the smallest vertex toward its smaller neighbour
+            walk = path_a + path_b[-2::-1]
+            k = walk.index(min(walk))
+            walk = walk[k:] + walk[:k]
+            if walk[-1] < walk[1]:
+                walk[1:] = walk[:0:-1]
+            cycles.append(tuple(walk))
+    return cycles

@@ -29,6 +29,8 @@ __all__ = [
     "certify_corpus",
 ]
 
+TIE_TOL = 1e-9  # s_plus vs s_minus, and each minimum vs its ties
+
 
 @dataclass(frozen=True)
 class SurveyRecord:
@@ -98,22 +100,21 @@ def _record_payload(payload: tuple[int, tuple[int, ...]]) -> SurveyRecord:
 class _MinTracker:
     """Streaming minimum with a tolerance band of tied witnesses."""
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.value = math.inf
         self.near: list[tuple[float, str]] = []
 
     def offer(self, value: float, tag: str) -> None:
         if value < self.value:
             self.value = value
-        if value <= self.value + self.tol:
+        if value <= self.value + TIE_TOL:
             self.near.append((value, tag))
             if len(self.near) > 64:
-                self.near = [p for p in self.near if p[0] <= self.value + self.tol]
+                self.near = [p for p in self.near if p[0] <= self.value + TIE_TOL]
 
     def result(self) -> tuple[float, str, tuple[str, ...]]:
         ties = sorted(
-            (p for p in self.near if p[0] <= self.value + self.tol),
+            (p for p in self.near if p[0] <= self.value + TIE_TOL),
             key=lambda p: (p[0], p[1]),
         )
         return self.value, ties[0][1] if ties else "", tuple(t for _, t in ties)
@@ -131,7 +132,6 @@ def _rounding_flag(label: str, value: float) -> Optional[str]:
 def survey(
     graphs: Iterable[Graph],
     *,
-    tie_tol: float = 1e-9,
     threads: int = 1,
     record_sink: Optional[Callable[[SurveyRecord], None]] = None,
 ) -> SurveyReport:
@@ -139,7 +139,7 @@ def survey(
 
     Counts the s_plus > s_minus / < / tie split, counts bipartite graphs
     independently, and tracks both minima with their graph6 witnesses
-    (plus any ties within ``tie_tol``).  ``record_sink`` receives every
+    (plus any ties within ``TIE_TOL``).  ``record_sink`` receives every
     per-graph record as it is produced.  ``threads`` > 1 fans the
     eigensolves out over processes, preserving order and determinism.
     Mixed orders in one stream are an error.
@@ -147,8 +147,8 @@ def survey(
     records = _record_stream(graphs, threads)
     n = -1
     total = plus_gt = minus_gt = equal = bip = 0
-    tplus = _MinTracker(tie_tol)
-    tminus = _MinTracker(tie_tol)
+    tplus = _MinTracker()
+    tminus = _MinTracker()
     min_slack = math.inf
     for rec in records:
         if n < 0:
@@ -156,9 +156,9 @@ def survey(
         elif rec.n != n:
             raise ValueError(f"survey stream mixes orders {n} and {rec.n}")
         total += 1
-        if rec.s_plus > rec.s_minus + tie_tol:
+        if rec.s_plus > rec.s_minus + TIE_TOL:
             plus_gt += 1
-        elif rec.s_minus > rec.s_plus + tie_tol:
+        elif rec.s_minus > rec.s_plus + TIE_TOL:
             minus_gt += 1
         else:
             equal += 1

@@ -11,10 +11,10 @@ import pytest
 from conftest import random_connected
 
 import sqenergy.graphs as graphs_module
-from sqenergy.cli import SURVEY_CSV_HEADER, _default_threads, main
+from sqenergy.cli import SURVEY_CSV_HEADER, main
 from sqenergy.enumeration import enumerate_connected
 from sqenergy.graphs import from_graph6, to_graph6
-from sqenergy.survey import survey
+from sqenergy.survey import certify_corpus, survey
 
 TRIANGLE = "Bw"  # K_3
 K4 = "C~"
@@ -111,6 +111,14 @@ class TestCertify:
     def test_unknown_rule_is_usage_error(self, capsys):
         code, _, err = run(capsys, "certify", "--g6", K4, "--rules", "nonsense")
         assert code == 2 and "unknown rule" in err
+
+    def test_unknown_rules_message_matches_the_library(self, capsys):
+        with pytest.raises(ValueError) as exc:
+            certify_corpus([], rules=["zz", "avg_degree", "aa"])
+        code, out, err = run(capsys, "certify", "--g6", K4, "--rules", "zz,avg_degree,aa")
+        assert code == 2 and out == []
+        assert err == f"sqenergy: usage error: {exc.value}\n"
+        assert "unknown rule(s) aa, zz;" in err
 
     def test_json_record(self, capsys):
         code, out, _ = run(capsys, "certify", "--json", "--g6", K4)
@@ -328,15 +336,18 @@ class TestParser:
         code, out, err = run(capsys, subcommand, "--n", "5")
         assert code == 2 and out == [] and "got 100000" in err
 
-    def test_default_threads_env(self, monkeypatch):
-        monkeypatch.setenv("SQENERGY_THREADS", "4")
-        assert _default_threads() == 4
-        monkeypatch.setenv("SQENERGY_THREADS", "bogus")
-        assert _default_threads() == 1
+    def test_default_threads_env(self, capsys, monkeypatch, two_cpus_no_pool):
         monkeypatch.setenv("SQENERGY_THREADS", "-3")
-        assert _default_threads() == 1
-        monkeypatch.delenv("SQENERGY_THREADS")
-        assert _default_threads() == 1
+        code, out, err = run(capsys, "scan", "--n", "5")
+        assert code == 2 and out == []
+        assert err == (
+            "sqenergy: usage error: --threads must be between 1 and 2 (the CPU count), got -3\n"
+        )
+        monkeypatch.setenv("SQENERGY_THREADS", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--n", "5"])
+        assert exc.value.code == 2
+        assert "argument --threads: invalid int value: 'bogus'" in capsys.readouterr().err
 
 
 # every certify rule, listed: the default sweep prints what this --rules list does

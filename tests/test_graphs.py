@@ -363,6 +363,31 @@ class TestStats:
         st_ = stats(from_edges(0, []))
         assert st_.connected and st_.bipartite and st_.avg_degree == 0.0
 
+    def test_matches_networkx_on_seeded_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            p = rng.choice([0.5 / n, 1.5 / n, 0.1, 0.4])
+            if rng.random() < 0.3:  # cacti keep many bipartite graphs in the sample
+                g = _shuffled(rng, n, _random_cactus_edges(rng, n))
+            else:
+                g = _seeded_graph(n, p, seed=rng.randrange(1 << 30))
+            ref = nx.Graph(list(g.edges()))
+            ref.add_nodes_from(range(g.n))
+            st_ = stats(g)
+            assert (st_.m, st_.max_degree) == (ref.number_of_edges(), max(d for _, d in ref.degree))
+            assert st_.connected == nx.is_connected(ref)
+            assert st_.bipartite == nx.is_bipartite(ref)
+            if st_.bipartite:  # colour = parity of the distance from the component's least vertex
+                color = [0] * n
+                for comp in nx.connected_components(ref):
+                    for v, d in nx.single_source_shortest_path_length(ref, min(comp)).items():
+                        color[v] = d % 2
+                assert st_.bipartition == tuple(color)
+            else:
+                assert st_.bipartition is None
+
 
 class TestCactus:
     def test_cycle_is_cactus(self):
@@ -396,13 +421,21 @@ class TestCactus:
         with pytest.raises(ValueError, match="connected"):
             cactus_profile(from_edges(0, []))
 
-    def test_edge_count_skips_the_block_decomposition(self, monkeypatch):
+    def test_edge_count_skips_the_cycle_search(self, monkeypatch):
         calls = []
-        real = graphs_module._blocks
-        monkeypatch.setattr(graphs_module, "_blocks", lambda g: calls.append(g) or real(g))
+        real = graphs_module._fundamental_cycles
+        monkeypatch.setattr(
+            graphs_module, "_fundamental_cycles", lambda g, layers: calls.append(g) or real(g, layers)
+        )
         assert cactus_profile(complete_graph(4)) == CactusProfile(False, (), 0, 0)
         assert calls == []
         assert cactus_profile(cycle_graph(4)).is_cactus and len(calls) == 1
+
+    def test_cycles_sharing_one_tree_edge(self):
+        # two triangles on the edge (0, 1): within the edge-count gate, not a cactus
+        g = from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (3, 4)])
+        assert g.m <= 3 * (g.n - 1) // 2
+        assert cactus_profile(g) == CactusProfile(False, (), 0, 0)
 
     def test_matches_networkx_blocks_up_to_order_7(self, connected_by_order):
         nx = pytest.importorskip("networkx")
@@ -411,6 +444,20 @@ class TestCactus:
         assert any(g.m > 3 * (g.n - 1) // 2 for g in corpus)
         for g in corpus:
             assert cactus_profile(g) == _networkx_cactus_profile(nx, g)
+
+    def test_matches_networkx_on_seeded_larger_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8)
+        for _ in range(150):
+            n = rng.randint(8, 60)
+            cactus = _shuffled(rng, n, _random_cactus_edges(rng, n))
+            assert cactus_profile(cactus) == _networkx_cactus_profile(nx, cactus)
+            assert cactus_profile(cactus).is_cactus
+            # a spanning tree plus at most (n - 1) // 2 edges passes the edge-count gate
+            extra = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, (n - 1) // 2))]
+            sparse = _shuffled(rng, n, [(v, rng.randrange(v)) for v in range(1, n)] + extra)
+            assert sparse.m <= 3 * (n - 1) // 2
+            assert cactus_profile(sparse) == _networkx_cactus_profile(nx, sparse)
 
     def test_mixed_parity_cycles(self):
         # triangle and square hanging off a shared path vertex
@@ -427,6 +474,25 @@ class TestCactus:
         assert prof.is_cactus
         assert prof.odd_count == 1 and prof.even_count == 1
         assert (3, 4, 5, 6) in prof.cycles
+
+
+def _random_cactus_edges(rng, n):
+    """Edges of a random cactus on 0..n-1: pendant edges and cycles of length 3-12."""
+    edges, grown = [], 1
+    while grown < n:
+        at = rng.randrange(grown)
+        k = rng.randint(2, min(n - grown + 1, 12))
+        ring = [at, *range(grown, grown + k - 1)]
+        edges += [(ring[i], ring[(i + 1) % k]) for i in range(k if k > 2 else 1)]
+        grown += k - 1
+    return edges
+
+
+def _shuffled(rng, n, edges):
+    """The graph on these edges under a random relabelling, duplicates merged."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def _networkx_cactus_profile(nx, g):
