@@ -37,6 +37,7 @@ from .partitions import Partition, quotient_eigenvalues, quotient_matrix
 from .spectral import (
     EXACT_ORDER_CAP,
     EnergyProfile,
+    IntPolynomial,
     Spectrum,
     eigenvalues,
     energy_profile,
@@ -798,13 +799,7 @@ def extended_barbell_closed_form(k: int) -> ExtendedBarbellForm:
         raise ValueError(f"extended barbell needs k >= 3, got {k}")
     n = 2 * k + 1
     coeffs = (1, -(k - 2), -(k + 1), 2 * (k - 2))
-
-    def f(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
+    f = IntPolynomial(coeffs)
     if f(Fraction(k - 1)) != Fraction(-2):
         raise ArithmeticError("cubic sanity value at k-1 is off")
     if f(Fraction(-1)) != Fraction(2 * k - 2):

@@ -7,19 +7,19 @@ The search is the classic individualize-and-refine scheme: the ordered
 partition of the vertices is refined to equitability; if cells remain,
 each vertex of the first one is tried in turn, and the lexicographically
 largest adjacency bitstring over all discrete leaves wins.  Two leaves
-with equal bitstrings reveal an automorphism, and the orbits of the
-automorphisms found so far prune sibling branches, which keeps highly
-symmetric graphs (cliques, stars, unions of twins) from exploding into
-factorial subtrees.  A vertex whose twin was already tried is skipped
-outright, since swapping twins is an automorphism.  The automorphisms a
-search finds generate a subgroup of the automorphism group, not always
-all of it; ``canonical_pair`` hands them out for callers that only use
-them to skip equivalent work.
+with equal bitstrings reveal an automorphism.  A vertex whose twin was
+already tried is skipped outright, and the swap of the two joins the
+automorphisms found so far.  Their orbits, under those that fix the
+current prefix, prune sibling branches, which keeps highly symmetric
+graphs (cliques, stars, unions of twins) from exploding into factorial
+subtrees.  The automorphisms a search finds generate a subgroup of the
+automorphism group, not always all of it; ``canonical_pair`` hands them
+out for callers that only use them to skip equivalent work.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph, _row_bits, relabel, to_graph6
 
@@ -101,23 +101,18 @@ def _refine(
         fresh = next_fresh
 
 
-class _Orbits:
-    """Union-find over vertices, merged along recorded automorphisms."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
+    """The orbit of vertex v under the group generated by gens, as a bitset."""
+    orbit = 1 << v
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for sigma in gens:
+            w = sigma[u]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                stack.append(w)
+    return orbit
 
 
 def _canonical_search(
@@ -125,11 +120,12 @@ def _canonical_search(
 ) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
     """Best (max) leaf bitstring, the labelling that produces it, and the automorphisms met.
 
-    Besides the automorphisms that orbit pruning records, a cell vertex
-    whose twin (equal open or closed neighbourhood) was already tried is
-    skipped, and the swap of the two is an automorphism met.  Neither kind
-    of pruning can skip the first leaf that attains the maximum, so the
-    labelling does not depend on them.
+    A cell vertex whose twin (equal open or closed neighbourhood) was
+    already tried is skipped, and the swap of the two joins the
+    automorphisms met; a cell vertex that those fixing the prefix map onto
+    a tried vertex is skipped too.  Neither kind of pruning can skip the
+    first leaf that attains the maximum, so the labelling does not depend
+    on them.
     """
     if n == 0:
         return 0, (), []
@@ -137,7 +133,6 @@ def _canonical_search(
     best_bits = -1
     best_perm: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
-    swaps: list[tuple[int, ...]] = []
     # A leaf's bitstring is row by row: row i holds its bits to the vertices
     # after i, the nearest one most significant.  With vertex perm[j] weighted
     # 1 << (n - 1 - j), row i is its neighbours' weight sum below 1 << (n - 1 - i).
@@ -169,35 +164,25 @@ def _canonical_search(
             return
         head = cells[:target]
         tail = cells[target + 1 :]
-        tried: list[int] = []
-        orbits: _Orbits | None = None
-        orbits_at = -1
+        tried = 0
         for v in cell:
             if tried:
                 rv, cv = rows[v], rows[v] | 1 << v
-                twin = next((u for u in tried if rows[u] == rv or rows[u] | 1 << u == cv), -1)
+                twins = (u for u in _row_bits(tried) if rows[u] == rv or rows[u] | 1 << u == cv)
+                twin = next(twins, -1)
                 if twin >= 0:
                     sigma = list(range(n))
                     sigma[twin], sigma[v] = v, twin
-                    swaps.append(tuple(sigma))
+                    autos.append(tuple(sigma))
                     continue
-                if orbits_at != len(autos):
-                    orbits = _Orbits(n)
-                    for sigma in autos:
-                        if all(sigma[p] == p for p in prefix):
-                            for a in range(n):
-                                orbits.union(a, sigma[a])
-                    orbits_at = len(autos)
-                assert orbits is not None
-                root = orbits.find(v)
-                if any(orbits.find(u) == root for u in tried):
+                if _orbit(v, [s for s in autos if all(s[p] == p for p in prefix)]) & tried:
                     continue
-            tried.append(v)
+            tried |= 1 << v
             rest = tuple([w for w in cell if w != v])
             descend(head + [(v,), rest] + tail, [1 << v], prefix + (v,))
 
     descend([tuple(range(n))], [(1 << n) - 1], ())
-    return best_bits, best_perm, autos + swaps
+    return best_bits, best_perm, autos
 
 
 def _key(n: int, leaf: int) -> bytes:

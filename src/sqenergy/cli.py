@@ -17,7 +17,12 @@ import sys
 from typing import IO, Iterable, Iterator, Optional
 
 from .bounds import GraphFacts, _wanted_rules, certify
-from .enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
+from .enumeration import (
+    _check_connected_order,
+    _check_unicyclic_order,
+    enumerate_connected,
+    enumerate_unicyclic_nonbipartite,
+)
 from .families import FAMILIES, generate_family
 from .graphs import Graph, Graph6Error, from_graph6, to_graph6
 from .partitions import (
@@ -236,7 +241,7 @@ def _record_sink(path: Optional[str]):
 def _emit_survey_rows(
     args: argparse.Namespace,
     out: IO[str],
-    streams: Iterable[tuple[int, Iterable[Graph]]],
+    streams: Iterable[Iterable[Graph]],
 ) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
@@ -247,7 +252,7 @@ def _emit_survey_rows(
     if not args.json:
         print(header, file=out)
     with _record_sink(args.records) as sink:
-        for _, graphs in streams:
+        for graphs in streams:
             report = survey(graphs, threads=args.threads, record_sink=sink)
             for flag in report.rounding_flags:
                 print(f"sqenergy: note: {flag}", file=sys.stderr)
@@ -261,16 +266,16 @@ def _emit_survey_rows(
 
 def _cmd_scan(args: argparse.Namespace, out: IO[str]) -> int:
     orders = _parse_n_range(args.n)
-    streams = ((n, enumerate_connected(n)) for n in orders)
-    return _emit_survey_rows(args, out, streams)
+    for n in orders:
+        _check_connected_order(n)
+    return _emit_survey_rows(args, out, (enumerate_connected(n) for n in orders))
 
 
 def _cmd_unicyclic_min(args: argparse.Namespace, out: IO[str]) -> int:
     orders = _parse_n_range(args.n)
-    streams = (
-        (n, enumerate_unicyclic_nonbipartite(n, allow_large=args.allow_large))
-        for n in orders
-    )
+    for n in orders:
+        _check_unicyclic_order(n, args.allow_large)
+    streams = (enumerate_unicyclic_nonbipartite(n, allow_large=args.allow_large) for n in orders)
     return _emit_survey_rows(args, out, streams)
 
 

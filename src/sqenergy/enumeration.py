@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import canonical_form, canonical_pair
+from .canon import _orbit, canonical_form, canonical_pair
 from .families import cycle_graph
 from .graphs import Graph, add_leaf, induced_subgraph
 
@@ -58,8 +58,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     Deterministic order (sorted canonical keys).  Orders up to 8 are
     quick; 9 and 10 are supported but take correspondingly longer.
     """
-    if not 1 <= n <= CONNECTED_MAX_N:
-        raise ValueError(f"connected enumeration supports 1 <= n <= {CONNECTED_MAX_N}, got {n}")
+    _check_connected_order(n)
     k1 = Graph(1, (0,))
     level: dict[bytes, Graph] = {canonical_pair(k1)[0]: k1}
     for k in range(1, n):
@@ -85,12 +84,7 @@ def enumerate_unicyclic_nonbipartite(n: int, allow_large: bool = False) -> Itera
     vertices.  Emitted by cycle length, then sorted canonical key.
     Orders above 14 take long enough that they sit behind ``allow_large``.
     """
-    if n < 3:
-        raise ValueError(f"unicyclic enumeration needs n >= 3, got {n}")
-    cap = UNICYCLIC_EXTENDED_MAX_N if allow_large else UNICYCLIC_MAX_N
-    if n > cap:
-        hint = "" if allow_large else " (pass allow_large=True for 15..18)"
-        raise ValueError(f"unicyclic enumeration capped at n <= {cap}{hint}")
+    _check_unicyclic_order(n, allow_large)
     for c in range(3, n + 1, 2):
         key, base, _, gens = canonical_pair(cycle_graph(c), automorphisms=True)
         level: Level = [(key, base, gens)]
@@ -124,6 +118,20 @@ def enumerate_unicyclic_nonbipartite(n: int, allow_large: bool = False) -> Itera
             yield g
 
 
+def _check_connected_order(n: int) -> None:
+    if not 1 <= n <= CONNECTED_MAX_N:
+        raise ValueError(f"connected enumeration supports 1 <= n <= {CONNECTED_MAX_N}, got {n}")
+
+
+def _check_unicyclic_order(n: int, allow_large: bool) -> None:
+    if n < 3:
+        raise ValueError(f"unicyclic enumeration needs n >= 3, got {n}")
+    cap = UNICYCLIC_EXTENDED_MAX_N if allow_large else UNICYCLIC_MAX_N
+    if n > cap:
+        hint = "" if allow_large else " (pass allow_large=True for 15..18)"
+        raise ValueError(f"unicyclic enumeration capped at n <= {cap}{hint}")
+
+
 def _tied_leaves(rows: tuple[int, ...]) -> list[int] | None:
     """The other leaves whose neighbour has the degree of the new (last) leaf's.
 
@@ -151,16 +159,3 @@ def _leaf_children(parent: Graph, gens: Generators) -> Iterator[Graph]:
             attached |= _orbit(v, gens)
             yield add_leaf(parent, v)
 
-
-def _orbit(v: int, gens: Generators) -> int:
-    """The orbit of vertex v under the group generated by gens, as a bitset."""
-    orbit = 1 << v
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for sigma in gens:
-            w = sigma[u]
-            if not orbit >> w & 1:
-                orbit |= 1 << w
-                stack.append(w)
-    return orbit

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from _strategies import graphs
@@ -24,7 +25,7 @@ from sqenergy.families import (
     path_graph,
     star_graph,
 )
-from sqenergy.graphs import from_edges, from_graph6, relabel
+from sqenergy.graphs import complement, from_edges, from_graph6, relabel
 
 
 def refine_by_full_vectors(rows, cells):
@@ -48,6 +49,45 @@ def petersen() -> "Graph":
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return from_edges(10, outer + inner + spokes)
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> "Graph":
+    return from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+def hypercube(d: int) -> "Graph":
+    n = 1 << d
+    return from_edges(n, [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1])
+
+
+def copies(g: "Graph", k: int) -> "Graph":
+    return from_edges(k * g.n, [(i * g.n + u, i * g.n + v) for i in range(k) for u, v in g.edges()])
+
+
+def leaf_bits(g: "Graph", perm) -> int:
+    """The bitstring the search maximises: row by row, the nearest later vertex most significant."""
+    out = 0
+    for i, v in enumerate(perm):
+        row = g.rows[v]
+        for u in perm[i + 1 :]:
+            out = out << 1 | row >> u & 1
+    return out
+
+
+def unpruned_leaves(g: "Graph"):
+    """Every leaf of the individualise-and-refine tree, in search order, with no pruning."""
+
+    def descend(cells):
+        cells = refine(g.rows, cells)
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            yield tuple(cell[0] for cell in cells)
+            return
+        for v in cells[target]:
+            rest = tuple(w for w in cells[target] if w != v)
+            yield from descend(cells[:target] + [(v,), rest] + cells[target + 1 :])
+
+    return descend([tuple(range(g.n))])
 
 
 class TestCanonicalForm:
@@ -154,6 +194,51 @@ class TestHighSymmetry:
     def test_symmetric_graphs_finish_fast(self, g):
         perm = list(reversed(range(g.n)))
         assert canonical_form(g) == canonical_form(relabel(g, perm))
+
+
+class TestOracle:
+    def test_key_is_the_maximal_leaf_of_the_unpruned_tree(self, connected_by_order):
+        # refinement orders the cells before any choice, so the search maximises
+        # over its tree's leaves, not over all n! relabellings (P3 scores 011, not 110)
+        for n in range(1, 8):
+            nbytes = (n * (n - 1) // 2 + 7) // 8 or 1
+            for g in connected_by_order[n]:
+                for h in (g, complement(g)):
+                    leaves = list(unpruned_leaves(h))
+                    scores = [leaf_bits(h, perm) for perm in leaves]
+                    best = max(scores)
+                    assert canonical_form(h) == n.to_bytes(4, "big") + best.to_bytes(nbytes, "big")
+                    # pruning never skips the first leaf that attains the maximum
+                    assert canonical_graph(h) == relabel(h, leaves[scores.index(best)])
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            petersen(),
+            hypercube(3),
+            hypercube(4),
+            circulant(12, (1, 5)),
+            circulant(13, (1, 5)),
+            circulant(10, (1, 4)),
+            copies(cycle_graph(5), 2),
+            copies(cycle_graph(4), 3),
+            complete_bipartite_graph(3, 3),
+            copies(petersen(), 2),
+        ],
+        ids=[
+            "Petersen", "Q3", "Q4", "C12(1,5)", "C13(1,5)",
+            "C10(1,4)", "2C5", "3C4", "K33", "2Petersen",
+        ],
+    )
+    def test_random_relabellings_keep_the_key(self, g):
+        rng = random.Random(g.n * 1000 + g.m)
+        key, canon = canonical_pair(g)
+        for _ in range(12):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h_key, h_canon, _, generators = canonical_pair(relabel(g, perm), automorphisms=True)
+            assert (h_key, h_canon) == (key, canon)
+            assert all(relabel(canon, sigma) == canon for sigma in generators)
 
 
 class TestIsIsomorphic:

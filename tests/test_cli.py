@@ -10,6 +10,7 @@ import random
 import pytest
 from conftest import random_connected
 
+import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
 from sqenergy.cli import SURVEY_CSV_HEADER, main
 from sqenergy.enumeration import enumerate_connected
@@ -20,6 +21,10 @@ TRIANGLE = "Bw"  # K_3
 K4 = "C~"
 STAR5 = "Ds_"  # hub at vertex 0
 C5 = "Dhc"
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("an order was enumerated")
 
 
 def run(capsys, *argv):
@@ -161,6 +166,12 @@ class TestScan:
         from_graph6(fields[7])  # the witness is valid graph6
         assert report.rounding_flags == ()
 
+    def test_order_cap_is_checked_before_any_order_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
+        code, out, err = run(capsys, "scan", "--n", "8-11")
+        assert (code, out) == (1, [])
+        assert err == "sqenergy: error: connected enumeration supports 1 <= n <= 10, got 11\n"
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "scan", "--n", "5", "--json")
         rec = json.loads(out[0])
@@ -198,6 +209,15 @@ class TestUnicyclicMin:
     def test_cap_requires_flag(self, capsys):
         code, _, err = run(capsys, "unicyclic-min", "--n", "15")
         assert code == 1 and "allow" in err
+
+    def test_order_cap_is_checked_before_any_order_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
+        code, out, err = run(capsys, "unicyclic-min", "--n", "12-15")
+        assert (code, out) == (1, [])
+        assert err == (
+            "sqenergy: error: unicyclic enumeration capped at n <= 14"
+            " (pass allow_large=True for 15..18)\n"
+        )
 
 
 class TestFamily:

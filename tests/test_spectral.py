@@ -150,10 +150,17 @@ class TestPerron:
         assert x[1:] == pytest.approx(np.full(4, 1 / (2 * math.sqrt(2))), abs=1e-9)
 
     def test_bipartite_convergence(self):
-        # +-lambda pairs stall unshifted power iteration; the A + I shift must not
+        # the -lambda partner of a bipartite graph's lambda must not be picked
         lam, x = perron_vector(path_graph(2))
         assert lam == pytest.approx(1.0, abs=1e-10)
         assert np.all(x > 0)
+
+    def test_long_path_matches_the_closed_form(self):
+        # P_n: lambda = 2 cos(pi / (n + 1)), x_k proportional to sin(k pi / (n + 1))
+        lam, x = perron_vector(path_graph(300))
+        assert lam == pytest.approx(2 * math.cos(math.pi / 301), abs=1e-12)
+        exact = np.sin(np.arange(1, 301) * math.pi / 301)
+        assert x == pytest.approx(exact / np.linalg.norm(exact), abs=1e-10)
 
     def test_residual_contract(self):
         g = cycle_graph(9)
