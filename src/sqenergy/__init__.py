@@ -4,205 +4,28 @@ Computes the positive and negative square energies (sums of squared
 positive / negative adjacency eigenvalues), checks the conjectured
 floor of n - 1 for connected graphs through structural lower-bound
 certificates, and reproduces exhaustive small-order surveys.
+
+Every public name of the library modules is importable from here; each
+module's ``__all__`` is the one list of its public names.
 """
 
 from __future__ import annotations
 
-from .bounds import (
-    BoundCertificate,
-    CERTIFY_RULES,
-    certify,
-    check_avg_degree,
-    check_join,
-    check_kronecker,
-    check_self_join,
-    check_spanning_structures,
-    edge_deletion_bound,
-    energy_count_bound,
-    extended_barbell_closed_form,
-    h3n_quotient_analysis,
-    induced_bipartite_bound,
-    induced_subgraph_bound,
-    m0_threshold,
-    majorization_two_positive,
-    max_clique,
-    moving_neighbors_bound,
-    quotient_bound,
-    rank_bound,
-    unicyclic_fractional_bound,
-)
-from .canon import canonical_form, canonical_g6, canonical_graph, is_isomorphic
-from .enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
-from .families import (
-    FAMILIES,
-    barbell_graph,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    extended_barbell_graph,
-    generate_family,
-    h_kn_graph,
-    path_graph,
-    star_graph,
-    threshold_graph,
-    u_n3_graph,
-)
-from .graphs import (
-    CactusProfile,
-    Graph,
-    Graph6Error,
-    GraphStats,
-    add_leaf,
-    cactus_profile,
-    complement,
-    component_masks,
-    delete_edge,
-    from_edges,
-    from_graph6,
-    induced_subgraph,
-    join,
-    kronecker,
-    move_neighbors,
-    read_graph6_lines,
-    relabel,
-    stats,
-    to_graph6,
-)
-from .partitions import (
-    Partition,
-    QuotientMatrix,
-    TwinClass,
-    coarsest_equitable_refinement,
-    edge_cut_quotient,
-    find_twins,
-    parse_partition,
-    quotient_eigenvalues,
-    quotient_matrix,
-    twin_quotient_spectrum,
-)
-from .spectral import (
-    EnergyProfile,
-    Inertia,
-    IntPolynomial,
-    Spectrum,
-    char_poly_exact,
-    eigenvalues,
-    energy_profile,
-    graph_profile,
-    inertia_of,
-    perron_vector,
-    rank_exact,
-    spectrum_from_values,
-    zero_tolerance,
-)
-from .survey import (
-    CoverageReport,
-    SurveyRecord,
-    SurveyReport,
-    certify_corpus,
-    leaf_increment_profile,
-    m0_curve,
-    survey,
-)
+from . import bounds, canon, enumeration, families, graphs, partitions, spectral
+from . import survey as _survey  # the survey function below takes the module's name
+from .bounds import *
+from .canon import *
+from .enumeration import *
+from .families import *
+from .graphs import *
+from .partitions import *
+from .spectral import *
+from .survey import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "Graph",
-    "Graph6Error",
-    "GraphStats",
-    "CactusProfile",
-    "from_edges",
-    "from_graph6",
-    "to_graph6",
-    "read_graph6_lines",
-    "complement",
-    "component_masks",
-    "join",
-    "kronecker",
-    "delete_edge",
-    "add_leaf",
-    "move_neighbors",
-    "induced_subgraph",
-    "relabel",
-    "stats",
-    "cactus_profile",
-    # families
-    "FAMILIES",
-    "generate_family",
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
-    "complete_graph",
-    "complete_bipartite_graph",
-    "barbell_graph",
-    "extended_barbell_graph",
-    "u_n3_graph",
-    "h_kn_graph",
-    "threshold_graph",
-    # spectral
-    "Spectrum",
-    "Inertia",
-    "EnergyProfile",
-    "IntPolynomial",
-    "zero_tolerance",
-    "spectrum_from_values",
-    "eigenvalues",
-    "inertia_of",
-    "energy_profile",
-    "graph_profile",
-    "perron_vector",
-    "char_poly_exact",
-    "rank_exact",
-    # partitions
-    "Partition",
-    "QuotientMatrix",
-    "TwinClass",
-    "parse_partition",
-    "quotient_matrix",
-    "quotient_eigenvalues",
-    "coarsest_equitable_refinement",
-    "find_twins",
-    "twin_quotient_spectrum",
-    "edge_cut_quotient",
-    # bounds
-    "BoundCertificate",
-    "CERTIFY_RULES",
-    "certify",
-    "check_avg_degree",
-    "check_spanning_structures",
-    "check_join",
-    "check_self_join",
-    "check_kronecker",
-    "max_clique",
-    "edge_deletion_bound",
-    "moving_neighbors_bound",
-    "induced_subgraph_bound",
-    "induced_bipartite_bound",
-    "quotient_bound",
-    "m0_threshold",
-    "unicyclic_fractional_bound",
-    "majorization_two_positive",
-    "energy_count_bound",
-    "rank_bound",
-    "extended_barbell_closed_form",
-    "h3n_quotient_analysis",
-    # canon
-    "canonical_form",
-    "canonical_graph",
-    "canonical_g6",
-    "is_isomorphic",
-    # enumeration
-    "enumerate_connected",
-    "enumerate_unicyclic_nonbipartite",
-    # survey
-    "SurveyRecord",
-    "SurveyReport",
-    "CoverageReport",
-    "survey",
-    "m0_curve",
-    "leaf_increment_profile",
-    "certify_corpus",
+__all__ = ["__version__"] + [
+    name
+    for module in (graphs, families, spectral, partitions, bounds, canon, enumeration, _survey)
+    for name in module.__all__
 ]

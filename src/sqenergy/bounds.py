@@ -37,6 +37,7 @@ from .partitions import Partition, quotient_eigenvalues, quotient_matrix
 from .spectral import (
     EXACT_ORDER_CAP,
     EnergyProfile,
+    Inertia,
     IntPolynomial,
     Spectrum,
     eigenvalues,
@@ -105,20 +106,19 @@ class GraphFacts:
         return energy_profile(self.spectrum)
 
     @cached_property
-    def exact_zero(self) -> Optional[int]:
-        """Exact multiplicity of eigenvalue 0, n - rank(A); None above the
-        exact cap.  Raises ArithmeticError when the tolerance inertia counts
-        a different number of zero eigenvalues.
+    def inertia(self) -> Inertia:
+        """The spectrum's tolerance inertia, checked up to the exact cap:
+        raises ArithmeticError when its zero count differs from n - rank(A).
         """
-        if self.graph.n > EXACT_ORDER_CAP:
-            return None
-        zero = self.graph.n - rank_exact(self.graph)
-        if zero != self.profile.inertia.zero:
-            raise ArithmeticError(
-                f"tolerance classified {self.profile.inertia.zero} zero eigenvalues, "
-                f"exact rank says {zero}"
-            )
-        return zero
+        inertia = self.profile.inertia
+        if self.graph.n <= EXACT_ORDER_CAP:
+            zero = self.graph.n - rank_exact(self.graph)
+            if zero != inertia.zero:
+                raise ArithmeticError(
+                    f"tolerance classified {inertia.zero} zero eigenvalues, "
+                    f"exact rank says {zero}"
+                )
+        return inertia
 
     @cached_property
     def complement_components(self) -> list[int]:
@@ -163,13 +163,18 @@ class BoundCertificate:
         }
 
 
+def _meets_floor(value: float, n: int) -> bool:
+    """Whether value reaches the n - 1 floor, up to ``CONCLUSIVE_TOL``."""
+    return bool(value >= n - 1 - CONCLUSIVE_TOL)
+
+
 def _certificate(rule: str, target: str, bound: float, witness: dict, n: int) -> BoundCertificate:
     return BoundCertificate(
         rule=rule,
         target=target,
         bound_value=float(bound),
         witness=witness,
-        conclusive=bool(bound >= n - 1 - CONCLUSIVE_TOL),
+        conclusive=_meets_floor(bound, n),
     )
 
 
@@ -417,8 +422,7 @@ def check_kronecker(g: Graph, factors: tuple[Graph, Graph]) -> Optional[BoundCer
     if na < 3 or nb < 3:
         return None
     pa, pb = graph_profile(ga), graph_profile(gb)
-    floor_a, floor_b = na - 1 - CONCLUSIVE_TOL, nb - 1 - CONCLUSIVE_TOL
-    if min(pa.s_plus, pa.s_minus) < floor_a or min(pb.s_plus, pb.s_minus) < floor_b:
+    if not all(_meets_floor(min(p.s_plus, p.s_minus), h.n) for p, h in ((pa, ga), (pb, gb))):
         return None
     bound = 2 * (na - 1) * (nb - 1)
     witness = {
@@ -570,6 +574,8 @@ def induced_bipartite_bound(
             return None
     else:
         dels = sorted(set(deletions))
+        if dels and not (0 <= dels[0] and dels[-1] < g.n):
+            raise ValueError(f"vertex set {dels} out of range for n={g.n}")
     keep = [v for v in range(g.n) if v not in set(dels)]
     h = induced_subgraph(g, keep)
     if not stats(h).bipartite:
@@ -591,10 +597,8 @@ def quotient_bound(g: Graph, x: Partition) -> PairBound:
     Quotient eigenvalues interlace the adjacency spectrum, so the sums of
     squared positive / negative quotient eigenvalues are lower bounds.
     """
-    spec = quotient_eigenvalues(quotient_matrix(g, x))
-    s_plus = sum(t * t for t in spec.positive)
-    s_minus = sum(t * t for t in spec.negative)
-    return PairBound(s_plus, s_minus)
+    prof = energy_profile(quotient_eigenvalues(quotient_matrix(g, x)))
+    return PairBound(prof.s_plus, prof.s_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +653,7 @@ def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[UnicyclicFract
     base = 2.0 * m * n / (2 * m + 1)
     cos = math.cos(math.pi / (2 * m + 1))
     sharp = 2.0 * n * cos / (1.0 + cos)
-    conclusive = m >= math.ceil(m0_threshold(n) - 1e-12) and sharp >= n - 1 - CONCLUSIVE_TOL
+    conclusive = _meets_floor(sharp, n)
     return UnicyclicFractionalBound(
         bound=sharp if conclusive else base,
         m=m,
@@ -687,17 +691,16 @@ def majorization_two_positive(
 
     The positive count is tolerance-classified and, within the exact
     cap, cross-checked against the exact rank through
-    ``GraphFacts.exact_zero``.  Returns None when the shape does not apply.
+    ``GraphFacts.inertia``.  Returns None when the shape does not apply.
     """
     f = _facts(g)
     g = f.graph
     if not f.stats.connected:
         return None
     spec = f.spectrum
-    inert = f.profile.inertia
+    inert = f.inertia
     if inert.positive != 2:
         return None
-    f.exact_zero  # raises when the exact zero count disagrees with the inertia
     nu = inert.negative
     mu = tuple(spec.values[:2]) + (0.0,) * (nu - 2) if nu >= 2 else tuple(spec.values[:nu])
     theta = tuple(abs(t) for t in spec.values[::-1][:nu])
@@ -732,9 +735,9 @@ def energy_count_bound(g: Graph | GraphFacts) -> PairBound:
     f = _facts(g)
     if f.stats.m == 0:
         raise ValueError("energy count bound needs at least one edge")
-    prof = f.profile
-    e2 = prof.energy * prof.energy
-    return PairBound(e2 / (4.0 * prof.inertia.positive), e2 / (4.0 * prof.inertia.negative))
+    inert = f.inertia
+    e2 = f.profile.energy * f.profile.energy
+    return PairBound(e2 / (4.0 * inert.positive), e2 / (4.0 * inert.negative))
 
 
 def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
@@ -751,8 +754,7 @@ def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
         raise ValueError("rank bound assumes a connected graph")
     if g.n < 3:
         raise ValueError(f"rank bound assumes order >= 3, got {g.n}")
-    inert = f.profile.inertia
-    f.exact_zero  # raises when the exact zero count disagrees with the inertia
+    inert = f.inertia
     r = inert.positive + inert.negative
     gate = r * r / (4.0 * (g.n - 1))
     plus_fires = inert.positive <= gate
@@ -814,10 +816,9 @@ def extended_barbell_closed_form(k: int) -> ExtendedBarbellForm:
         raise ArithmeticError("cubic roots violate the expected ordering")
     values = [mu1, float(k - 1), mu2] + [-1.0] * (n - 4) + [mu3]
     spec = spectrum_from_values(values, n=n)
-    s_plus = mu1 * mu1 + (k - 1) ** 2 + mu2 * mu2
-    s_minus = (n - 4) + mu3 * mu3
-    conclusive = s_plus >= n - 1 - CONCLUSIVE_TOL and s_minus >= n - 1 - CONCLUSIVE_TOL
-    return ExtendedBarbellForm(spec, s_plus, s_minus, conclusive, coeffs)
+    prof = energy_profile(spec)
+    conclusive = _meets_floor(prof.s_plus, n) and _meets_floor(prof.s_minus, n)
+    return ExtendedBarbellForm(spec, prof.s_plus, prof.s_minus, conclusive, coeffs)
 
 
 @dataclass(frozen=True)

@@ -90,19 +90,26 @@ def _decode_lines(lines: Iterable[str], source: str) -> Iterator[tuple[str, Grap
             raise Graph6Error(f"{source}, line {lineno}: {exc}") from None
 
 
+def _decode_file(fh: IO[str], path: str) -> Iterator[tuple[str, Graph]]:
+    with fh:
+        yield from _decode_lines(fh, path)
+
+
 def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
-    """Each input graph with the text to echo for it."""
+    """Each input graph with the text to echo for it.
+
+    The file-or-``--g6`` conflict and a missing input file raise here,
+    before the caller writes anything.
+    """
     inline = getattr(args, "g6", None)
     path = getattr(args, "input", None)
     if inline and path:
         raise UsageError("give an input file or --g6 strings, not both")
     if inline:
-        yield from map(_decoded, inline)
-    elif path:
-        with open(path, "r", encoding="ascii") as fh:
-            yield from _decode_lines(fh, path)
-    else:
-        yield from _decode_lines(sys.stdin, "<stdin>")
+        return map(_decoded, inline)
+    if path:
+        return _decode_file(open(path, "r", encoding="ascii"), path)
+    return _decode_lines(sys.stdin, "<stdin>")
 
 
 def _single_graph(args: argparse.Namespace) -> tuple[str, Graph]:
@@ -155,9 +162,10 @@ ENERGIES_CSV_HEADER = "graph6,n,m,s_plus,s_minus,energy,positive,zero,negative"
 
 
 def _cmd_energies(args: argparse.Namespace, out: IO[str]) -> int:
+    graphs = _input_graphs(args)
     if not args.json:
         print(ENERGIES_CSV_HEADER, file=out)
-    for g6, g in _input_graphs(args):
+    for g6, g in graphs:
         prof = graph_profile(g)
         counts = (prof.inertia.positive, prof.inertia.zero, prof.inertia.negative)
         row = (g6, g.n, g.m, prof.s_plus, prof.s_minus, prof.energy, *counts)
@@ -327,9 +335,10 @@ LEAF_CSV_HEADER = "graph6,vertex,delta_s_plus,delta_s_minus"
 
 
 def _cmd_leaf_profile(args: argparse.Namespace, out: IO[str]) -> int:
+    graphs = _input_graphs(args)
     if not args.json:
         print(LEAF_CSV_HEADER, file=out)
-    for g6, g in _input_graphs(args):
+    for g6, g in graphs:
         increments = leaf_increment_profile(g)
         if args.json:
             rows = [
@@ -451,14 +460,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LazyOutput:
+    """The ``--output`` file, opened (and so truncated) at its first write, so
+    a run rejected before it prints anything leaves an existing file as it was.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def write(self, text: str) -> int:
+        fh = open(self.path, "w", encoding="utf-8")
+        # from here on every call goes straight to the file
+        self.write, self.flush, self.close = fh.write, fh.flush, fh.close
+        return fh.write(text)
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+        if not args.output:
+            return args.func(args, sys.stdout)
+        with contextlib.closing(_LazyOutput(args.output)) as out:
+            code = args.func(args, out)
+            out.write("")  # a run that printed nothing still leaves an empty file
+            return code
     except UsageError as exc:
         print(f"sqenergy: usage error: {exc}", file=sys.stderr)
         return 2

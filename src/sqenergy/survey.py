@@ -14,7 +14,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, CONCLUSIVE_TOL, GraphFacts, _wanted_rules, certify, m0_threshold
+from .bounds import CERTIFY_RULES, GraphFacts, _meets_floor, _wanted_rules, certify, m0_threshold
 from .graphs import Graph, add_leaf, stats, to_graph6
 from .spectral import graph_profile
 
@@ -78,7 +78,6 @@ class SurveyReport:
 def _record(g: Graph) -> SurveyRecord:
     prof = graph_profile(g)
     st = stats(g)
-    floor = g.n - 1 - CONCLUSIVE_TOL
     return SurveyRecord(
         graph6=to_graph6(g),
         n=g.n,
@@ -89,7 +88,7 @@ def _record(g: Graph) -> SurveyRecord:
         zero=prof.inertia.zero,
         negative=prof.inertia.negative,
         bipartite=st.bipartite,
-        conjecture_ok=prof.s_plus >= floor and prof.s_minus >= floor,
+        conjecture_ok=_meets_floor(prof.s_plus, g.n) and _meets_floor(prof.s_minus, g.n),
     )
 
 

@@ -283,6 +283,10 @@ class TestSubgraphAndQuotient:
         pb = quotient_bound(g, parse_partition("0;1,2,3,4"))
         assert pb.s_plus_lower == pytest.approx(4.0)
         assert pb.s_minus_lower == pytest.approx(4.0)
+        # one block: the 1x1 quotient has no negative eigenvalue
+        pb = quotient_bound(g, parse_partition("0,1,2,3,4"))
+        assert pb.s_plus_lower == pytest.approx(64 / 25)
+        assert pb.s_minus_lower == 0.0 and isinstance(pb.s_minus_lower, float)
 
 
 class TestInducedBipartite:
@@ -302,6 +306,11 @@ class TestInducedBipartite:
         assert cert is not None and cert.bound_value == pytest.approx(3.0)
         with pytest.raises(ValueError, match="bipartite"):
             induced_bipartite_bound(complete_graph(4), deletions=[0])
+
+    @pytest.mark.parametrize("deletions", [[7], [-1]])
+    def test_deletions_outside_the_vertex_set_rejected(self, deletions):
+        with pytest.raises(ValueError, match=r"vertex set \[-?\d\] out of range for n=4"):
+            induced_bipartite_bound(path_graph(4), deletions=deletions)
 
     def test_non_cactus_non_bipartite_inapplicable(self):
         assert induced_bipartite_bound(complete_graph(4)) is None
@@ -342,6 +351,14 @@ class TestUnicyclicFractional:
         assert unicyclic_fractional_bound(cycle_graph(6)) is None  # even cycle
         assert unicyclic_fractional_bound(path_graph(5)) is None  # tree
         assert unicyclic_fractional_bound(two_triangles()) is None  # disconnected
+
+    def test_conclusive_exactly_from_the_m0_threshold(self):
+        # the sharp bound grows with m and reaches n - 1 at m0(n)
+        for n in range(7, 81):
+            threshold = math.ceil(m0_threshold(n) - 1e-12)
+            for k in range(5, n - 1, 2):
+                rec = unicyclic_fractional_bound(h_kn_graph(n, k))
+                assert rec.conclusive_pair == (rec.m >= threshold), (n, k)
 
     def test_m0_threshold_values(self):
         assert m0_threshold(100) == pytest.approx(7.380092, abs=1e-5)
@@ -522,6 +539,14 @@ class TestCertifyPipeline:
                 assert cert.bound_value >= g.n - 1 - CONCLUSIVE_TOL
 
 
+class TestFloor:
+    @pytest.mark.parametrize("n", [2, 8, 65, 1000])
+    def test_floor_is_inclusive_at_the_tolerance(self, n):
+        edge = n - 1 - CONCLUSIVE_TOL
+        assert bounds_module._meets_floor(edge, n) is True
+        assert bounds_module._meets_floor(math.nextafter(edge, -math.inf), n) is False
+
+
 class TestGraphFacts:
     SAMPLES = [
         complete_graph(4),
@@ -569,13 +594,23 @@ class TestGraphFacts:
             assert rule(facts) == rule(g), rule.__name__
         assert certify(facts) == certify(g)
 
-    def test_exact_zero_is_none_above_the_cap(self):
-        assert GraphFacts(star_graph(5)).exact_zero == 3
-        assert GraphFacts(path_graph(65)).exact_zero is None
+    def test_inertia_is_unchecked_above_the_cap(self, monkeypatch):
+        assert GraphFacts(star_graph(5)).inertia.zero == 3
+
+        def refuse(g):
+            pytest.fail("rank_exact called above the exact cap")
+
+        monkeypatch.setattr(bounds_module, "rank_exact", refuse)
+        assert GraphFacts(path_graph(65)).inertia.zero == 1
 
     def test_exact_rank_disagreeing_with_the_inertia_raises(self, monkeypatch):
         # P4 is connected with two positive eigenvalues and rank 4
         monkeypatch.setattr(bounds_module, "rank_exact", lambda g: g.n - 1)
-        for rule in (rank_bound, majorization_two_positive):
+        for rule in (
+            rank_bound,
+            majorization_two_positive,
+            energy_count_bound,
+            lambda g: certify(g, rules=["energy"]),
+        ):
             with pytest.raises(ArithmeticError, match="tolerance classified 0 zero eigenvalues"):
                 rule(path_graph(4))

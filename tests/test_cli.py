@@ -370,6 +370,66 @@ class TestParser:
         assert "argument --threads: invalid int value: 'bogus'" in capsys.readouterr().err
 
 
+class TestRejectedRunKeepsOutput:
+    CASES = {
+        "scan-cap": (
+            ("scan", "--n", "11"),
+            1,
+            "sqenergy: error: connected enumeration supports 1 <= n <= 10, got 11\n",
+        ),
+        "unicyclic-cap": (
+            ("unicyclic-min", "--n", "15"),
+            1,
+            "sqenergy: error: unicyclic enumeration capped at n <= 14 "
+            "(pass allow_large=True for 15..18)\n",
+        ),
+        "threads": (
+            ("scan", "--n", "5", "--threads", "0"),
+            2,
+            "sqenergy: usage error: --threads must be between 1 and 2 (the CPU count), got 0\n",
+        ),
+        "unknown-rule": (
+            ("certify", "--g6", TRIANGLE, "--rules", "zz"),
+            2,
+            "sqenergy: usage error: unknown rule(s) zz; available: avg_degree, "
+            "complete_bipartite_span, clique, self_join, induced_bipartite, odd_cycle, "
+            "two_positive, rank, energy\n",
+        ),
+        "file-and-inline": (
+            ("energies", "IN", "--g6", TRIANGLE),
+            2,
+            "sqenergy: usage error: give an input file or --g6 strings, not both\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_existing_output_keeps_its_bytes(self, case, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        argv, want_code, want_err = self.CASES[case]
+        src = tmp_path / "in.g6"
+        src.write_text(TRIANGLE + "\n")
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"kept\n")
+        argv = [str(src) if a == "IN" else a for a in argv]
+        code, out, err = run(capsys, *argv, "-o", str(dest))
+        assert (code, out, err) == (want_code, [], want_err)
+        assert dest.read_bytes() == b"kept\n"
+
+    def test_missing_input_file_keeps_the_output(self, capsys, tmp_path):
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"kept\n")
+        code, _, err = run(capsys, "energies", str(tmp_path / "missing.g6"), "-o", str(dest))
+        assert code == 1 and "No such file" in err
+        assert dest.read_bytes() == b"kept\n"
+
+    def test_a_run_that_prints_nothing_empties_the_output(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        dest = tmp_path / "out.json"
+        dest.write_bytes(b"stale\n")
+        code, _, _ = run(capsys, "energies", "--json", "-o", str(dest))
+        assert code == 0 and dest.read_bytes() == b""
+
+
 # every certify rule, listed: the default sweep prints what this --rules list does
 NINE_RULES = (
     "avg_degree,complete_bipartite_span,clique,self_join,induced_bipartite,"
