@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+import tempfile
 from typing import IO, Iterable, Iterator, Optional
 
 from .bounds import GraphFacts, _wanted_rules, certify
@@ -238,7 +239,7 @@ def _record_sink(path: Optional[str]):
     if path is None:
         yield None
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replaced_on_success(path) as fh:
 
         def sink(rec: SurveyRecord) -> None:
             fh.write(_json(vars(rec)) + "\n")
@@ -460,25 +461,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _LazyOutput:
-    """The ``--output`` file, opened (and so truncated) at its first write, so
-    a run rejected before it prints anything leaves an existing file as it was.
+@contextlib.contextmanager
+def _replaced_on_success(path: str) -> Iterator[IO[str]]:
+    """A text file that takes the place of ``path`` only if the block succeeds.
+
+    It is written as a sibling temporary file, renamed over ``path`` at
+    the end and removed if the block raises, so a failed run leaves an
+    existing file as it was.  A symbolic link is followed, so the file it
+    points to is replaced and the link kept.  A path that exists and is
+    not a regular file (``/dev/null``, a pipe) is written in place.
     """
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def write(self, text: str) -> int:
-        fh = open(self.path, "w", encoding="utf-8")
-        # from here on every call goes straight to the file
-        self.write, self.flush, self.close = fh.write, fh.flush, fh.close
-        return fh.write(text)
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
+    except OSError as exc:
+        # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(fd, 0o666 & ~umask)  # the mode a plain open would give
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -487,10 +500,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if not args.output:
             return args.func(args, sys.stdout)
-        with contextlib.closing(_LazyOutput(args.output)) as out:
-            code = args.func(args, out)
-            out.write("")  # a run that printed nothing still leaves an empty file
-            return code
+        with _replaced_on_success(args.output) as out:
+            return args.func(args, out)
     except UsageError as exc:
         print(f"sqenergy: usage error: {exc}", file=sys.stderr)
         return 2

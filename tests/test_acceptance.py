@@ -7,6 +7,7 @@ the n = 13..14 unicyclic run are opt-in via SQENERGY_EXTENDED=1.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -33,6 +34,7 @@ from sqenergy.graphs import (
     kronecker,
     move_neighbors,
     stats,
+    to_graph6,
 )
 from sqenergy.partitions import Partition, quotient_eigenvalues, quotient_matrix, twin_quotient_spectrum
 from sqenergy.spectral import char_poly_exact, eigenvalues, graph_profile, inertia_of, rank_exact
@@ -75,6 +77,13 @@ TABLE2 = {
 TABLE2_EXTENDED = {
     13: (8417, 12.773512, 12.032012),
     14: (23285, 13.772564, 13.029882),
+}
+
+# sha256 of the graph6 stream (one newline-terminated line per graph) of
+# enumerate_unicyclic_nonbipartite(n); tests/test_enumeration.py pins n <= 12
+TABLE2_EXTENDED_STREAM_SHA256 = {
+    13: "3b38c25fe5107d4c30f3c027327273a8e92e8d574608bd90bbb515c8ad8c4e10",
+    14: "6a4b031effd623fb2e24088ae4aebdbe3acce3f75f96a15d2864a2c4426d88f2",
 }
 
 
@@ -169,7 +178,10 @@ def test_criterion_02_table2(unicyclic_scan):
 )
 def test_criterion_02_table2_extended():
     for n, (total, min_plus, min_minus) in TABLE2_EXTENDED.items():
-        report = survey(enumerate_unicyclic_nonbipartite(n))
+        graphs = list(enumerate_unicyclic_nonbipartite(n))
+        stream = "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
+        assert hashlib.sha256(stream).hexdigest() == TABLE2_EXTENDED_STREAM_SHA256[n], f"n={n}"
+        report = survey(graphs)
         assert report.total == total
         assert abs(report.min_s_plus - min_plus) <= 1e-6
         assert abs(report.min_s_minus - min_minus) <= 1e-6

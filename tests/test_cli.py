@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import threading
 
 import pytest
 from conftest import random_connected
@@ -414,6 +416,40 @@ class TestRejectedRunKeepsOutput:
         code, out, err = run(capsys, *argv, "-o", str(dest))
         assert (code, out, err) == (want_code, [], want_err)
         assert dest.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.g6", "out.csv"]
+
+    @pytest.mark.parametrize("subcommand", ["energies", "leaf-profile"])
+    def test_bad_first_line_keeps_the_output(self, subcommand, capsys, tmp_path):
+        src = tmp_path / "bad.g6"
+        src.write_text("zz\n")
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"kept\n")
+        code, out, err = run(capsys, subcommand, str(src), "-o", str(dest))
+        assert code == 1 and out == [] and f"{src}, line 1" in err
+        assert dest.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.g6", "out.csv"]
+
+    def test_failed_scan_keeps_the_records(self, capsys, monkeypatch, tmp_path):
+        written = []
+
+        def failing(graphs, **kwargs):
+            # every record reaches the sink before the run fails
+            written.append(survey(graphs, **kwargs).total)
+            raise RuntimeError("survey failed")
+
+        monkeypatch.setattr("sqenergy.cli.survey", failing)
+        records = tmp_path / "records.jsonl"
+        records.write_bytes(b"old records\n")
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"kept\n")
+        code, out, err = run(
+            capsys, "scan", "--n", "5", "--records", str(records), "-o", str(dest)
+        )
+        assert (code, out, err) == (1, [], "sqenergy: error: survey failed\n")
+        assert written == [21]
+        assert records.read_bytes() == b"old records\n"
+        assert dest.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "records.jsonl"]
 
     def test_missing_input_file_keeps_the_output(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
@@ -428,6 +464,64 @@ class TestRejectedRunKeepsOutput:
         dest.write_bytes(b"stale\n")
         code, _, _ = run(capsys, "energies", "--json", "-o", str(dest))
         assert code == 0 and dest.read_bytes() == b""
+
+
+class TestOutputFile:
+    CASES = {
+        "energies": ("energies", "--g6", TRIANGLE, "--g6", K4),
+        "certify-json": ("certify", "--json", "--g6", C5),
+        "leaf-profile": ("leaf-profile", "--g6", STAR5),
+        "scan": ("scan", "--n", "2-5"),
+        "unicyclic-min-json": ("unicyclic-min", "--n", "3-7", "--json"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_file_holds_the_stdout_bytes(self, case, capsys, tmp_path):
+        argv = list(self.CASES[case])
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        dest = tmp_path / "out.txt"
+        dest.write_bytes(b"stale\n")
+        assert main(argv + ["-o", str(dest)]) == 0
+        assert capsys.readouterr().out == ""
+        assert dest.read_bytes() == stdout
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_records_replace_an_existing_file(self, capsys, tmp_path):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        second.write_bytes(b"stale\n")
+        for dest in (first, second):
+            assert main(["scan", "--n", "5", "--records", str(dest)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+        assert len(first.read_text().splitlines()) == 21
+
+    def test_a_symlink_is_kept_and_its_target_replaced(self, capsys, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_bytes(b"stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert main(["energies", "--g6", TRIANGLE, "-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text().splitlines()[1] == "Bw,3,3,4.000000,2.000000,4.000000,1,0,2"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "rows.csv"]
+
+    def test_a_missing_directory_is_named(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "out.csv"
+        code, out, err = run(capsys, "energies", "--g6", TRIANGLE, "-o", str(dest))
+        assert (code, out) == (1, [])
+        assert err == f"sqenergy: error: [Errno 2] No such file or directory: '{dest}'\n"
+
+    def test_a_pipe_is_written_in_place(self, capsys, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        code = main(["energies", "--g6", TRIANGLE, "-o", str(pipe)])
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0 and got[0].endswith(b"\nBw,3,3,4.000000,2.000000,4.000000,1,0,2\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 # every certify rule, listed: the default sweep prints what this --rules list does

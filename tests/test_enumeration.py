@@ -113,18 +113,21 @@ class TestUnicyclic:
         assert digest == UNICYCLIC_STREAM_SHA256[n]
 
     def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
-        # labelling every pendant child takes 18382 searches at order 12
-        calls = 0
-        labelling = sqenergy.enumeration.canonical_pair
+        # labelling every pendant child takes 18382 searches at order 12; a leaf
+        # invariant of the neighbour's degree alone labels 6740 children and
+        # needs 1945 second forms, the two-step invariant 4832 and 37
+        calls = {"canonical_pair": 0, "canonical_form": 0}
+        for name in calls:
+            search = getattr(sqenergy.enumeration, name)
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return labelling(*args, **kwargs)
+            def counted(*args, _search=search, _name=name, **kwargs):
+                calls[_name] += 1
+                return _search(*args, **kwargs)
 
-        monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", counted)
+            monkeypatch.setattr(sqenergy.enumeration, name, counted)
         assert sum(1 for _ in enumerate_unicyclic_nonbipartite(12)) == UNICYCLIC_COUNTS[12]
-        assert calls <= 18382 // 2
+        assert calls["canonical_pair"] <= 5000
+        assert calls["canonical_form"] <= 100
 
     def test_cap_and_override(self):
         with pytest.raises(ValueError, match="allow_large"):
