@@ -34,7 +34,7 @@ from .partitions import (
     quotient_matrix,
 )
 from .spectral import graph_profile
-from .survey import SurveyRecord, leaf_increment_profile, m0_curve, survey
+from .survey import SurveyRecord, _check_threads, leaf_increment_profile, m0_curve, survey
 
 __all__ = ["main"]
 
@@ -136,6 +136,15 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
 
 def _add_output_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", metavar="PATH", help="write data here instead of stdout")
+
+
+def _add_survey_arguments(p: argparse.ArgumentParser) -> None:
+    """The arguments ``scan`` and ``unicyclic-min`` share."""
+    p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
+    p.add_argument("--threads", type=int, default=os.environ.get("SQENERGY_THREADS", "1"))
+    p.add_argument("--json", action="store_true", help="JSON report per order")
+    p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
+    _add_output_argument(p)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -247,22 +256,25 @@ def _record_sink(path: Optional[str]):
         yield sink
 
 
-def _emit_survey_rows(
-    args: argparse.Namespace,
-    out: IO[str],
-    streams: Iterable[Iterable[Graph]],
-) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.threads <= cpus:
-        raise UsageError(
-            f"--threads must be between 1 and {cpus} (the CPU count), got {args.threads}"
-        )
+def _cmd_survey(args: argparse.Namespace, out: IO[str]) -> int:
+    """``scan`` and ``unicyclic-min``: one survey row per order.
+
+    Every order, the thread count and the records file are checked
+    before anything is written to ``out``.
+    """
+    orders = _parse_n_range(args.n)
+    for n in orders:
+        args.check_order(n)
+    try:
+        _check_threads(args.threads)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None  # name the flag, not the keyword
     header = TABLE1_CSV_HEADER if getattr(args, "table1", False) else SURVEY_CSV_HEADER
-    if not args.json:
-        print(header, file=out)
     with _record_sink(args.records) as sink:
-        for graphs in streams:
-            report = survey(graphs, threads=args.threads, record_sink=sink)
+        if not args.json:
+            print(header, file=out)
+        for n in orders:
+            report = survey(args.enumerate(n), threads=args.threads, record_sink=sink)
             for flag in report.rounding_flags:
                 print(f"sqenergy: note: {flag}", file=sys.stderr)
             if args.json:
@@ -271,21 +283,6 @@ def _emit_survey_rows(
                 print(_csv(getattr(report, name) for name in header.split(",")), file=out)
             out.flush()
     return 0
-
-
-def _cmd_scan(args: argparse.Namespace, out: IO[str]) -> int:
-    orders = _parse_n_range(args.n)
-    for n in orders:
-        _check_connected_order(n)
-    return _emit_survey_rows(args, out, (enumerate_connected(n) for n in orders))
-
-
-def _cmd_unicyclic_min(args: argparse.Namespace, out: IO[str]) -> int:
-    orders = _parse_n_range(args.n)
-    for n in orders:
-        _check_unicyclic_order(n, args.allow_large)
-    streams = (enumerate_unicyclic_nonbipartite(n, allow_large=args.allow_large) for n in orders)
-    return _emit_survey_rows(args, out, streams)
 
 
 def _cmd_family(args: argparse.Namespace, out: IO[str]) -> int:
@@ -397,29 +394,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("scan", help="survey all connected graphs of given order(s)")
-    p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
+    _add_survey_arguments(p)
     p.add_argument("--table1", action="store_true", help="counts-only columns")
-    p.add_argument("--threads", type=int, default=os.environ.get("SQENERGY_THREADS", "1"))
-    p.add_argument("--json", action="store_true", help="JSON report per order")
-    p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
-    _add_output_argument(p)
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(
+        func=_cmd_survey, check_order=_check_connected_order, enumerate=enumerate_connected
+    )
 
     p = sub.add_parser(
         "unicyclic-min",
         help="survey connected non-bipartite unicyclic graphs of given order(s)",
     )
-    p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
-    p.add_argument("--threads", type=int, default=os.environ.get("SQENERGY_THREADS", "1"))
-    p.add_argument("--json", action="store_true", help="JSON report per order")
-    p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit orders above the default cap (slow)",
+    _add_survey_arguments(p)
+    p.set_defaults(
+        func=_cmd_survey,
+        check_order=_check_unicyclic_order,
+        enumerate=enumerate_unicyclic_nonbipartite,
     )
-    _add_output_argument(p)
-    p.set_defaults(func=_cmd_unicyclic_min)
 
     p = sub.add_parser("family", help="emit a named family graph as graph6")
     p.add_argument("family", nargs="?", help="family name (see --list)")

@@ -43,12 +43,10 @@ __all__ = [
     "enumerate_unicyclic_nonbipartite",
     "CONNECTED_MAX_N",
     "UNICYCLIC_MAX_N",
-    "UNICYCLIC_EXTENDED_MAX_N",
 ]
 
 CONNECTED_MAX_N = 10
-UNICYCLIC_MAX_N = 14
-UNICYCLIC_EXTENDED_MAX_N = 18
+UNICYCLIC_MAX_N = 18
 
 Generators = tuple[tuple[int, ...], ...]
 # (canonical key, canonical graph, automorphism generators found for it)
@@ -80,14 +78,15 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         yield level[key]
 
 
-def enumerate_unicyclic_nonbipartite(n: int, allow_large: bool = False) -> Iterator[Graph]:
+def enumerate_unicyclic_nonbipartite(n: int) -> Iterator[Graph]:
     """Connected unicyclic graphs of order n with an odd cycle, up to isomorphism.
 
     Grown per cycle length: start from the odd cycle and attach pendant
     vertices.  Emitted by cycle length, then sorted canonical key.
-    Orders above 14 take long enough that they sit behind ``allow_large``.
+    Orders 3 to 18 are supported; each order takes about three times as
+    long as the one before.
     """
-    _check_unicyclic_order(n, allow_large)
+    _check_unicyclic_order(n)
     for c in range(3, n + 1, 2):
         key, base, _, gens = canonical_pair(cycle_graph(c), automorphisms=True)
         level: Level = [(key, base, gens)]
@@ -126,13 +125,11 @@ def _check_connected_order(n: int) -> None:
         raise ValueError(f"connected enumeration supports 1 <= n <= {CONNECTED_MAX_N}, got {n}")
 
 
-def _check_unicyclic_order(n: int, allow_large: bool) -> None:
+def _check_unicyclic_order(n: int) -> None:
     if n < 3:
         raise ValueError(f"unicyclic enumeration needs n >= 3, got {n}")
-    cap = UNICYCLIC_EXTENDED_MAX_N if allow_large else UNICYCLIC_MAX_N
-    if n > cap:
-        hint = "" if allow_large else " (pass allow_large=True for 15..18)"
-        raise ValueError(f"unicyclic enumeration capped at n <= {cap}{hint}")
+    if n > UNICYCLIC_MAX_N:
+        raise ValueError(f"unicyclic enumeration capped at n <= {UNICYCLIC_MAX_N}")
 
 
 def _tied_leaves(rows: tuple[int, ...]) -> list[int] | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -92,10 +93,6 @@ def _record(g: Graph) -> SurveyRecord:
     )
 
 
-def _record_payload(payload: tuple[int, tuple[int, ...]]) -> SurveyRecord:
-    return _record(Graph(payload[0], payload[1]))
-
-
 class _MinTracker:
     """Streaming minimum with a tolerance band of tied witnesses."""
 
@@ -140,9 +137,11 @@ def survey(
     independently, and tracks both minima with their graph6 witnesses
     (plus any ties within ``TIE_TOL``).  ``record_sink`` receives every
     per-graph record as it is produced.  ``threads`` > 1 fans the
-    eigensolves out over processes, preserving order and determinism.
-    Mixed orders in one stream are an error.
+    eigensolves out over processes, preserving order and determinism;
+    it must lie between 1 and the CPU count, which is checked before any
+    graph is read.  Mixed orders in one stream are an error.
     """
+    _check_threads(threads)
     records = _record_stream(graphs, threads)
     n = -1
     total = plus_gt = minus_gt = equal = bip = 0
@@ -195,17 +194,19 @@ def survey(
     )
 
 
-def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyRecord]:
-    if threads <= 1:
-        return map(_record, graphs)
+def _check_threads(threads: int) -> None:
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ValueError(f"threads must be between 1 and {cpus} (the CPU count), got {threads}")
 
-    def payloads() -> Iterator[tuple[int, tuple[int, ...]]]:
-        for g in graphs:
-            yield g.n, g.rows
+
+def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyRecord]:
+    if threads == 1:
+        return map(_record, graphs)
 
     def run() -> Iterator[SurveyRecord]:
         with multiprocessing.Pool(threads) as pool:
-            yield from pool.imap(_record_payload, payloads(), chunksize=64)
+            yield from pool.imap(_record, graphs, chunksize=64)
 
     return run()
 

@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line under ``pytest -v``.  Expensive scans
 are shared through module-scoped fixtures; the n = 9 connected scan and
-the n = 13..14 unicyclic run are opt-in via SQENERGY_EXTENDED=1.
+the n = 13..15 unicyclic run are opt-in via SQENERGY_EXTENDED=1.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ TABLE2 = {
 TABLE2_EXTENDED = {
     13: (8417, 12.773512, 12.032012),
     14: (23285, 13.772564, 13.029882),
+    15: (65137, 14.771792, 14.028045),
 }
 
 # sha256 of the graph6 stream (one newline-terminated line per graph) of
@@ -84,6 +85,7 @@ TABLE2_EXTENDED = {
 TABLE2_EXTENDED_STREAM_SHA256 = {
     13: "3b38c25fe5107d4c30f3c027327273a8e92e8d574608bd90bbb515c8ad8c4e10",
     14: "6a4b031effd623fb2e24088ae4aebdbe3acce3f75f96a15d2864a2c4426d88f2",
+    15: "de8d95f02259e04b1615d4a35cab251d7d2c428a7b77e4850c285991c85ca9fa",
 }
 
 
@@ -174,7 +176,7 @@ def test_criterion_02_table2(unicyclic_scan):
 
 @pytest.mark.skipif(
     os.environ.get("SQENERGY_EXTENDED") != "1",
-    reason="extended n=13..14 unicyclic scan; set SQENERGY_EXTENDED=1 to run",
+    reason="extended n=13..15 unicyclic scan; set SQENERGY_EXTENDED=1 to run",
 )
 def test_criterion_02_table2_extended():
     for n, (total, min_plus, min_minus) in TABLE2_EXTENDED.items():

@@ -208,18 +208,22 @@ class TestUnicyclicMin:
         assert fields[:6] == ["5", "4", "3", "1", "0", "0"]
         assert fields[6] == "4.763932" and fields[8] == "4.096788"
 
-    def test_cap_requires_flag(self, capsys):
-        code, _, err = run(capsys, "unicyclic-min", "--n", "15")
-        assert code == 1 and "allow" in err
+    def test_order_beyond_cap_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
+        code, _, err = run(capsys, "unicyclic-min", "--n", "19")
+        assert code == 1 and "capped at n <= 18" in err
 
     def test_order_cap_is_checked_before_any_order_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
-        code, out, err = run(capsys, "unicyclic-min", "--n", "12-15")
+        code, out, err = run(capsys, "unicyclic-min", "--n", "12-19")
         assert (code, out) == (1, [])
-        assert err == (
-            "sqenergy: error: unicyclic enumeration capped at n <= 14"
-            " (pass allow_large=True for 15..18)\n"
-        )
+        assert err == "sqenergy: error: unicyclic enumeration capped at n <= 18\n"
+
+    def test_unwritable_records_file_prints_nothing(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "records.jsonl"
+        code, out, err = run(capsys, "unicyclic-min", "--n", "3", "--records", str(dest))
+        assert (code, out) == (1, [])
+        assert err == f"sqenergy: error: [Errno 2] No such file or directory: '{dest}'\n"
 
 
 class TestFamily:
@@ -380,10 +384,9 @@ class TestRejectedRunKeepsOutput:
             "sqenergy: error: connected enumeration supports 1 <= n <= 10, got 11\n",
         ),
         "unicyclic-cap": (
-            ("unicyclic-min", "--n", "15"),
+            ("unicyclic-min", "--n", "19"),
             1,
-            "sqenergy: error: unicyclic enumeration capped at n <= 14 "
-            "(pass allow_large=True for 15..18)\n",
+            "sqenergy: error: unicyclic enumeration capped at n <= 18\n",
         ),
         "threads": (
             ("scan", "--n", "5", "--threads", "0"),

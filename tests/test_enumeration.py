@@ -42,6 +42,10 @@ UNICYCLIC_STREAM_SHA256 = {
 }
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("an order was enumerated")
+
+
 def g6_stream(graphs) -> bytes:
     return "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
 
@@ -129,8 +133,10 @@ class TestUnicyclic:
         assert calls["canonical_pair"] <= 5000
         assert calls["canonical_form"] <= 100
 
-    def test_cap_and_override(self):
-        with pytest.raises(ValueError, match="allow_large"):
-            list(enumerate_unicyclic_nonbipartite(UNICYCLIC_MAX_N + 1))
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", _no_search)
+        assert UNICYCLIC_MAX_N == 18
+        with pytest.raises(ValueError, match=r"capped at n <= 18$"):
+            list(enumerate_unicyclic_nonbipartite(19))
         with pytest.raises(ValueError):
             list(enumerate_unicyclic_nonbipartite(2))

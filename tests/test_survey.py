@@ -65,10 +65,29 @@ class TestSurvey:
         assert rec.n == 5 and rec.positive + rec.zero + rec.negative == 5
         assert rec.conjecture_ok
 
-    def test_threads_do_not_change_the_report(self):
+    def test_threads_do_not_change_the_report(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         single = survey(enumerate_connected(6), threads=1)
         multi = survey(enumerate_connected(6), threads=2)
         assert single == multi
+
+    @pytest.mark.parametrize("threads", [0, -3, 3])
+    def test_threads_outside_the_cpu_count_are_rejected_before_any_graph(
+        self, monkeypatch, threads
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        def unread():
+            raise AssertionError("a graph was read")
+            yield
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        with pytest.raises(
+            ValueError, match=rf"^threads must be between 1 and 2 \(the CPU count\), got {threads}$"
+        ):
+            survey(unread(), threads=threads)
 
 
 class TestRoundingFlag:
