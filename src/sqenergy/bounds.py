@@ -55,8 +55,6 @@ __all__ = [
     "PairBound",
     "EdgeDeletionBound",
     "MovingNeighborsBound",
-    "UnicyclicFractionalBound",
-    "MajorizationReport",
     "ExtendedBarbellForm",
     "H3nAnalysis",
     "check_avg_degree",
@@ -329,10 +327,10 @@ def check_join(
     """Certify s_plus >= n - 1 when g is a join of two non-empty graphs.
 
     With no split supplied, one is detected from the components of the
-    complement (a graph is a join iff its complement is disconnected).
-    A supplied split is validated edge by edge.  ``certify`` does not run
-    this check: ``complete_bipartite_span`` certifies r (n - r) >= n - 1
-    on the same split.
+    complement (a graph is a join iff its complement is disconnected), so
+    it is a join by construction; a supplied split is validated edge by
+    edge.  ``certify`` does not run this check: ``complete_bipartite_span``
+    certifies r (n - r) >= n - 1 on the same split.
     """
     f = _facts(g)
     g = f.graph
@@ -340,10 +338,10 @@ def check_join(
         found = _balanced_complement_split(f)
         if found is None:
             return None
-        side_a, side_b = found
+        side_a = found[0]
     else:
         side_a, side_b = sorted(split[0]), sorted(split[1])
-    _validate_join_split(g, side_a, side_b)
+        _validate_join_split(g, side_a, side_b)
     return _certificate("join", "s_plus", g.n - 1, {"side": list(side_a)}, g.n)
 
 
@@ -388,12 +386,8 @@ def check_self_join(
         e2 = induced_subgraph(g, side_b).m
         if e1 != e2 or 4 * e1 > r * r:  # unequal halves, or average degree above r/2
             continue
-        try:
+        if split is not None:  # found splits are unions of complement components
             _validate_join_split(g, side_a, side_b)
-        except ValueError:
-            if split is not None:
-                raise
-            continue
         d = 2.0 * e1 / r
         bound = min(float(n - 1), (r - d) * (r - d))
         return _certificate(
@@ -616,26 +610,15 @@ def m0_threshold(n: float) -> float:
     return math.pi / (2.0 * math.acos((n - 1.0) / (n + 1.0))) - 0.5
 
 
-@dataclass(frozen=True)
-class UnicyclicFractionalBound:
-    """Fractional floor for both square energies of an odd-cycle unicyclic graph.
-
-    ``bound`` is the operative value: the plain 2mn/(2m+1) floor, upgraded
-    to the sharper cosine form exactly when the cycle is long enough
-    (m >= m0(n)) for that form to reach n - 1 (``conclusive_pair``).
-    """
-
-    bound: float
-    m: int
-    conclusive_pair: bool
-    base_bound: float
-    sharp_bound: float
-
-
-def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[UnicyclicFractionalBound]:
+def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     """Both square energies of a unicyclic graph with odd cycle 2m+1 (m >= 2)
     are at least 2mn/(2m+1); for m >= m0(n) the sharper cosine bound
-    already reaches n - 1.  Returns None outside those hypotheses.
+    already reaches n - 1.
+
+    Returns the ``odd_cycle`` certificate, whose bound is the sharp form
+    when that reaches n - 1 and the base form otherwise; the witness
+    records m, the cycle length and both forms.  Returns None outside
+    those hypotheses.
     """
     f = _facts(g)
     n, st = f.graph.n, f.stats
@@ -653,45 +636,26 @@ def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[UnicyclicFract
     base = 2.0 * m * n / (2 * m + 1)
     cos = math.cos(math.pi / (2 * m + 1))
     sharp = 2.0 * n * cos / (1.0 + cos)
-    conclusive = _meets_floor(sharp, n)
-    return UnicyclicFractionalBound(
-        bound=sharp if conclusive else base,
-        m=m,
-        conclusive_pair=conclusive,
-        base_bound=base,
-        sharp_bound=sharp,
-    )
+    witness = {"m": m, "cycle_length": length, "base_bound": base, "sharp_bound": sharp}
+    return _certificate("odd_cycle", "both", sharp if _meets_floor(sharp, n) else base, witness, n)
 
 
 # ---------------------------------------------------------------------------
 # majorization, energy counts, rank
 
 
-@dataclass(frozen=True)
-class MajorizationReport:
-    """Evidence that (lam_1, lam_2, 0, ...) majorizes the |negative| spectrum.
-
-    ``mu`` and ``theta`` have equal length (the number of negative
-    eigenvalues); ``prefix_ok[k]`` records the k-th partial-sum
-    comparison and ``totals_equal`` the trace identity.
-    """
-
-    mu: tuple[float, ...]
-    theta: tuple[float, ...]
-    prefix_ok: tuple[bool, ...]
-    totals_equal: bool
-
-
-def majorization_two_positive(
-    g: Graph | GraphFacts,
-) -> Optional[tuple[MajorizationReport, BoundCertificate]]:
+def majorization_two_positive(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     """For connected graphs with exactly two positive eigenvalues, the
     positive part majorizes the absolute negative part, forcing
     s_plus >= s_minus and hence s_plus >= |E| >= n - 1.
 
-    The positive count is tolerance-classified and, within the exact
-    cap, cross-checked against the exact rank through
-    ``GraphFacts.inertia``.  Returns None when the shape does not apply.
+    Returns the ``two_positive`` certificate after checking the chain
+    numerically: every partial sum of (lam_1, lam_2, 0, ...) reaches that
+    of the |negative| spectrum, and the totals agree; a failed check
+    raises ArithmeticError.  The positive count is tolerance-classified
+    and, within the exact cap, cross-checked against the exact rank
+    through ``GraphFacts.inertia``.  Returns None when the shape does
+    not apply.
     """
     f = _facts(g)
     g = f.graph
@@ -713,17 +677,15 @@ def majorization_two_positive(
     total_mu = sum(mu)
     total_theta = sum(theta)
     totals_equal = abs(total_mu - total_theta) <= 1e-9 * max(1.0, total_theta)
-    report = MajorizationReport(mu, theta, tuple(prefix_ok), totals_equal)
     if not all(prefix_ok) or not totals_equal:
         raise ArithmeticError("majorization chain failed numerically on a two-positive graph")
-    cert = _certificate(
+    return _certificate(
         "two_positive",
         "s_plus",
         g.n - 1,
         {"positive_count": 2, "edge_count": g.m},
         g.n,
     )
-    return report, cert
 
 
 def energy_count_bound(g: Graph | GraphFacts) -> PairBound:
@@ -854,24 +816,6 @@ def h3n_quotient_analysis(n: int) -> H3nAnalysis:
 # certification pipeline
 
 
-def _odd_cycle_certificates(f: GraphFacts) -> list[BoundCertificate]:
-    rec = unicyclic_fractional_bound(f)
-    if rec is None:
-        return []
-    witness = {
-        "m": rec.m,
-        "cycle_length": 2 * rec.m + 1,
-        "base_bound": rec.base_bound,
-        "sharp_bound": rec.sharp_bound,
-    }
-    return [_certificate("odd_cycle", "both", rec.bound, witness, f.graph.n)]
-
-
-def _two_positive_certificates(f: GraphFacts) -> list[BoundCertificate]:
-    pair = majorization_two_positive(f)
-    return [pair[1]] if pair else []
-
-
 def _energy_certificates(f: GraphFacts) -> list[BoundCertificate]:
     pb = energy_count_bound(f)
     certs = [
@@ -893,8 +837,8 @@ _SWEEP = (
     (("complete_bipartite_span", "clique"), lambda f: check_spanning_structures(f)),
     (("self_join",), lambda f: [check_self_join(f)]),
     (("induced_bipartite",), lambda f: [induced_bipartite_bound(f)]),
-    (("odd_cycle",), _odd_cycle_certificates),
-    (("two_positive",), _two_positive_certificates),
+    (("odd_cycle",), lambda f: [unicyclic_fractional_bound(f)]),
+    (("two_positive",), lambda f: [majorization_two_positive(f)]),
     (("rank",), lambda f: [rank_bound(f) if f.graph.n >= 3 else None]),
     (("energy",), lambda f: _energy_certificates(f) if f.stats.m else []),
 )

@@ -141,7 +141,12 @@ def _add_output_argument(p: argparse.ArgumentParser) -> None:
 def _add_survey_arguments(p: argparse.ArgumentParser) -> None:
     """The arguments ``scan`` and ``unicyclic-min`` share."""
     p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
-    p.add_argument("--threads", type=int, default=os.environ.get("SQENERGY_THREADS", "1"))
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=os.environ.get("SQENERGY_THREADS", "1"),
+        help="worker processes, from 1 to the CPU count (default: $SQENERGY_THREADS, else 1)",
+    )
     p.add_argument("--json", action="store_true", help="JSON report per order")
     p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
     _add_output_argument(p)
@@ -260,7 +265,8 @@ def _cmd_survey(args: argparse.Namespace, out: IO[str]) -> int:
     """``scan`` and ``unicyclic-min``: one survey row per order.
 
     Every order, the thread count and the records file are checked
-    before anything is written to ``out``.
+    before anything is written to ``out``.  The records and the output
+    may not share a regular file, which would keep only the output.
     """
     orders = _parse_n_range(args.n)
     for n in orders:
@@ -269,6 +275,12 @@ def _cmd_survey(args: argparse.Namespace, out: IO[str]) -> int:
         _check_threads(args.threads)
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None  # name the flag, not the keyword
+    if args.records and args.output:
+        target = os.path.realpath(args.records)
+        if target == os.path.realpath(args.output) and (
+            os.path.isfile(target) or not os.path.exists(target)
+        ):
+            raise UsageError(f"--records and --output both name {args.records!r}")
     header = TABLE1_CSV_HEADER if getattr(args, "table1", False) else SURVEY_CSV_HEADER
     with _record_sink(args.records) as sink:
         if not args.json:

@@ -395,9 +395,9 @@ def test_criterion_08_bound_soundness(connected_upto7):
         if cert is not None:
             assert cert.bound_value <= truth["both"] + slack
             fired["induced_bipartite"] += 1
-        rec = unicyclic_fractional_bound(g)
-        if rec is not None:
-            assert rec.bound <= truth["both"] + slack
+        cert = unicyclic_fractional_bound(g)
+        if cert is not None:
+            assert cert.bound_value <= truth["both"] + slack
             fired["fractional"] += 1
     assert all(count > 0 for count in fired.values()), fired
 

@@ -45,7 +45,7 @@ from sqenergy.families import (
 )
 from sqenergy.graphs import Graph, add_leaf, from_edges, kronecker, move_neighbors, stats
 from sqenergy.partitions import parse_partition
-from sqenergy.spectral import eigenvalues, graph_profile
+from sqenergy.spectral import Spectrum, eigenvalues, graph_profile
 
 
 def two_triangles() -> Graph:
@@ -323,28 +323,28 @@ class TestInducedBipartite:
 
 class TestUnicyclicFractional:
     def test_five_cycle(self):
-        rec = unicyclic_fractional_bound(cycle_graph(5))
-        assert rec is not None and rec.m == 2
-        assert rec.base_bound == pytest.approx(4.0)
+        cert = unicyclic_fractional_bound(cycle_graph(5))
+        assert cert is not None and cert.witness["m"] == 2
+        assert cert.witness["base_bound"] == pytest.approx(4.0)
         cos = math.cos(math.pi / 5)
-        assert rec.sharp_bound == pytest.approx(10 * cos / (1 + cos))
-        assert rec.conclusive_pair and rec.bound == pytest.approx(rec.sharp_bound)
+        assert cert.witness["sharp_bound"] == pytest.approx(10 * cos / (1 + cos))
+        assert cert.conclusive and cert.bound_value == pytest.approx(cert.witness["sharp_bound"])
 
     def test_bound_is_sound(self):
         g = add_leaf(cycle_graph(7), 0)
-        rec = unicyclic_fractional_bound(g)
-        assert rec is not None
+        cert = unicyclic_fractional_bound(g)
+        assert cert is not None
         prof = graph_profile(g)
-        assert rec.bound <= min(prof.s_plus, prof.s_minus) + 1e-8
+        assert cert.bound_value <= min(prof.s_plus, prof.s_minus) + 1e-8
 
     def test_short_cycle_below_threshold_keeps_base(self):
         # pentagon with a long tail: m = 2 < m0(12), so the base form stays
         g = cycle_graph(5)
         for _ in range(7):
             g = add_leaf(g, g.n - 1)
-        rec = unicyclic_fractional_bound(g)
-        assert rec is not None and not rec.conclusive_pair
-        assert rec.bound == pytest.approx(rec.base_bound)
+        cert = unicyclic_fractional_bound(g)
+        assert cert is not None and not cert.conclusive
+        assert cert.bound_value == pytest.approx(cert.witness["base_bound"])
 
     def test_inapplicable_shapes(self):
         assert unicyclic_fractional_bound(cycle_graph(3)) is None  # m = 1
@@ -357,8 +357,8 @@ class TestUnicyclicFractional:
         for n in range(7, 81):
             threshold = math.ceil(m0_threshold(n) - 1e-12)
             for k in range(5, n - 1, 2):
-                rec = unicyclic_fractional_bound(h_kn_graph(n, k))
-                assert rec.conclusive_pair == (rec.m >= threshold), (n, k)
+                cert = unicyclic_fractional_bound(h_kn_graph(n, k))
+                assert cert.conclusive == (cert.witness["m"] >= threshold), (n, k)
 
     def test_m0_threshold_values(self):
         assert m0_threshold(100) == pytest.approx(7.380092, abs=1e-5)
@@ -369,10 +369,8 @@ class TestUnicyclicFractional:
 
 class TestMajorization:
     def test_path_has_two_positive_eigenvalues(self):
-        pair = majorization_two_positive(path_graph(4))
-        assert pair is not None
-        report, cert = pair
-        assert all(report.prefix_ok) and report.totals_equal
+        cert = majorization_two_positive(path_graph(4))
+        assert cert is not None
         assert cert.rule == "two_positive" and cert.bound_value == pytest.approx(3.0)
         assert cert.conclusive
 
@@ -381,14 +379,21 @@ class TestMajorization:
         assert majorization_two_positive(cycle_graph(5)) is None  # three positive
         assert majorization_two_positive(two_triangles()) is None  # disconnected
 
-    def test_report_lengths_match_negative_count(self):
+    def test_three_negative_eigenvalues_certify_s_plus(self):
         # two positive and three negative eigenvalues
         g = from_edges(5, [(0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
-        pair = majorization_two_positive(g)
-        assert pair is not None
-        report, _ = pair
-        assert len(report.mu) == len(report.theta) == 3
-        assert report.mu[2] == 0.0
+        cert = majorization_two_positive(g)
+        assert cert is not None
+        assert cert.target == "s_plus" and cert.conclusive
+
+    def test_failed_chain_raises(self):
+        # still two positive eigenvalues and no zero one, so the exact rank
+        # check passes; lam_1 = 1 falls short of |lam_n| = 3
+        f = GraphFacts(path_graph(4))
+        f.spectrum = Spectrum((1.0, 0.5, -0.2, -3.0), 1e-9)
+        for rule in (majorization_two_positive, lambda g: certify(g, rules=["two_positive"])):
+            with pytest.raises(ArithmeticError, match="majorization chain failed numerically"):
+                rule(f)
 
 
 class TestEnergyCount:

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import threading
+from pathlib import Path
 
 import pytest
 from conftest import random_connected
@@ -362,6 +363,17 @@ class TestParser:
         code, out, err = run(capsys, subcommand, "--n", "5")
         assert code == 2 and out == [] and "got 100000" in err
 
+    @pytest.mark.parametrize("subcommand", ["scan", "unicyclic-min"])
+    def test_threads_help_names_the_range_and_the_default(self, capsys, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert (
+            "--threads THREADS worker processes, from 1 to the CPU count "
+            "(default: $SQENERGY_THREADS, else 1)" in help_text
+        )
+
     def test_default_threads_env(self, capsys, monkeypatch, two_cpus_no_pool):
         monkeypatch.setenv("SQENERGY_THREADS", "-3")
         code, out, err = run(capsys, "scan", "--n", "5")
@@ -454,6 +466,37 @@ class TestRejectedRunKeepsOutput:
         assert dest.read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "records.jsonl"]
 
+    @pytest.mark.parametrize("records", ["x", "link"])
+    def test_records_and_output_sharing_a_file_are_a_usage_error(
+        self, records, capsys, tmp_path
+    ):
+        dest = tmp_path / "x"
+        dest.write_bytes(b"kept\n")
+        (tmp_path / "link").symlink_to("x")
+        code, out, err = run(
+            capsys, "scan", "--n", "4", "--records", str(tmp_path / records), "-o", str(dest)
+        )
+        assert (code, out) == (2, [])
+        assert err == (
+            f"sqenergy: usage error: --records and --output both name '{tmp_path / records}'\n"
+        )
+        assert dest.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "x"]
+
+    def test_records_and_output_sharing_a_missing_file_are_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        dest = tmp_path / "x"
+        code, out, err = run(capsys, "scan", "--n", "4", "--records", str(dest), "-o", str(dest))
+        assert (code, out) == (2, []) and "--records and --output both name" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_records_and_output_may_share_a_device(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--n", "4", "--records", os.devnull, "-o", os.devnull
+        )
+        assert (code, out, err) == (0, [], "")
+
     def test_missing_input_file_keeps_the_output(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
         dest.write_bytes(b"kept\n")
@@ -534,8 +577,9 @@ NINE_RULES = (
 )
 
 # sha256 of whole outputs: RANDOM is 200 seeded random connected graphs of
-# orders 8-20, SMALL the 995 connected graphs of orders 2-7, and a case
-# naming RECORDS pins the --records file instead of stdout.
+# orders 8-20, SMALL the 995 connected graphs of orders 2-7, CONNECTED8 the
+# 11117 connected graphs of order 8 (read from the benchmark's corpus), and
+# a case naming RECORDS pins the --records file instead of stdout.
 GOLDEN_SHA256 = {
     "energies-csv": (
         ("energies", "RANDOM"),
@@ -552,6 +596,14 @@ GOLDEN_SHA256 = {
     "certify-json": (
         ("certify", "--json", "SMALL"),
         "0ef679e36b4b2b8773acb0fc0ac76753ecb9e8bc9f01ff83945365efc6bab099",
+    ),
+    "certify8-text": (
+        ("certify", "CONNECTED8"),
+        "1ae7cf4273da2f3b04a7955a7c9d34071dcb4b76d7f91c99b6ec6f480e26914c",
+    ),
+    "certify8-json": (
+        ("certify", "--json", "CONNECTED8"),
+        "2b73c612e5edbd59e6a30246defe6d37b586b92473c36fbf74d53eea46f6b379",
     ),
     "certify-nine-text": (
         ("certify", "--rules", NINE_RULES, "SMALL"),
@@ -604,7 +656,7 @@ def golden_inputs(tmp_path_factory, connected_by_order):
         "RANDOM": [to_graph6(random_connected(rng, rng.randint(8, 20))) for _ in range(200)],
         "SMALL": [to_graph6(g) for n in range(2, 8) for g in connected_by_order[n]],
     }
-    paths = {}
+    paths = {"CONNECTED8": Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"}
     for name, lines in corpora.items():
         paths[name] = root / f"{name}.g6"
         paths[name].write_text("".join(line + "\n" for line in lines))
