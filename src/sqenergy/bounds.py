@@ -308,13 +308,19 @@ def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
 # joins and products
 
 
-def _validate_join_split(g: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> None:
-    amask = sum(1 << v for v in side_a)
-    bmask = sum(1 << v for v in side_b)
+def _check_partition(g: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> None:
+    """Raise ValueError unless the two sides split the vertex set, each vertex once."""
     if not side_a or not side_b:
         raise ValueError("join split sides must be non-empty")
-    if amask & bmask or amask | bmask != (1 << g.n) - 1:
+    amask = sum(1 << v for v in side_a)
+    bmask = sum(1 << v for v in side_b)
+    if amask & bmask or amask | bmask != (1 << g.n) - 1 or len(side_a) + len(side_b) != g.n:
         raise ValueError("join split must partition the vertex set")
+
+
+def _check_cross_edges(g: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> None:
+    """Raise ValueError unless every vertex of side_a is adjacent to all of side_b."""
+    bmask = sum(1 << v for v in side_b)
     for v in side_a:
         if g.rows[v] & bmask != bmask:
             missing = next(bits(bmask & ~g.rows[v]))
@@ -341,7 +347,8 @@ def check_join(
         side_a = found[0]
     else:
         side_a, side_b = sorted(split[0]), sorted(split[1])
-        _validate_join_split(g, side_a, side_b)
+        _check_partition(g, side_a, side_b)
+        _check_cross_edges(g, side_a, side_b)
     return _certificate("join", "s_plus", g.n - 1, {"side": list(side_a)}, g.n)
 
 
@@ -353,20 +360,23 @@ def check_self_join(
     Needs half order r >= 8, every cross edge present, equal inside edge
     counts, and inside average degree d <= r/2.  The two-block quotient
     then has lambda_minus = d - r, so s_minus >= (r - d)^2 >= r^2/4 >=
-    2r - 1 = n - 1, and the join itself covers s_plus >= n - 1.
+    2r - 1 = n - 1, and the join itself covers s_plus >= n - 1.  A
+    supplied split must partition the vertex set (ValueError otherwise);
+    its cross edges are checked once its halves pass the other tests.
     """
     f = _facts(g)
     g = f.graph
     n = g.n
+    candidates: list[tuple[list[int], list[int]]]
+    if split is not None:
+        candidates = [(sorted(split[0]), sorted(split[1]))]
+        _check_partition(g, *candidates[0])
     if n % 2:
         return None
     r = n // 2
     if r < 8:
         return None
-    candidates: list[tuple[list[int], list[int]]]
-    if split is not None:
-        candidates = [(sorted(split[0]), sorted(split[1]))]
-    else:
+    if split is None:
         comps = sorted(f.complement_components, key=lambda c: (c.bit_count(), c))
         if len(comps) < 2 or len(comps) > 12:
             return None
@@ -387,7 +397,7 @@ def check_self_join(
         if e1 != e2 or 4 * e1 > r * r:  # unequal halves, or average degree above r/2
             continue
         if split is not None:  # found splits are unions of complement components
-            _validate_join_split(g, side_a, side_b)
+            _check_cross_edges(g, side_a, side_b)
         d = 2.0 * e1 / r
         bound = min(float(n - 1), (r - d) * (r - d))
         return _certificate(
@@ -777,7 +787,7 @@ def extended_barbell_closed_form(k: int) -> ExtendedBarbellForm:
     if not (mu1 > k - 1 > mu2 > -1 > mu3 and mu3 < -9.0 / 5.0 and mu2 > 0):
         raise ArithmeticError("cubic roots violate the expected ordering")
     values = [mu1, float(k - 1), mu2] + [-1.0] * (n - 4) + [mu3]
-    spec = spectrum_from_values(values, n=n)
+    spec = spectrum_from_values(values)
     prof = energy_profile(spec)
     conclusive = _meets_floor(prof.s_plus, n) and _meets_floor(prof.s_minus, n)
     return ExtendedBarbellForm(spec, prof.s_plus, prof.s_minus, conclusive, coeffs)

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .graphs import Graph, _row_bits, relabel, to_graph6
+from .graphs import Graph, _row_bits, relabel
 
 __all__ = [
     "canonical_form",
-    "canonical_graph",
     "canonical_pair",
-    "canonical_g6",
     "is_isomorphic",
 ]
 
@@ -196,12 +194,6 @@ def canonical_form(g: Graph) -> bytes:
     return _key(g.n, leaf)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labelled copy of g."""
-    _, perm, _ = _canonical_search(g.n, g.rows)
-    return relabel(g, perm) if g.n else g
-
-
 def canonical_pair(g: Graph, automorphisms: bool = False) -> tuple:
     """Canonical key and relabelled graph from a single search.
 
@@ -221,11 +213,6 @@ def canonical_pair(g: Graph, automorphisms: bool = False) -> tuple:
         labels[v] = i
     generators = tuple(tuple(labels[sigma[v]] for v in perm) for sigma in autos)
     return key, canon, tuple(labels), generators
-
-
-def canonical_g6(g: Graph) -> str:
-    """graph6 encoding of the canonical labelling."""
-    return to_graph6(canonical_graph(g))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

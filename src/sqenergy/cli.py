@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import IO, Iterable, Iterator, Optional
 
-from .bounds import GraphFacts, _wanted_rules, certify
+from .bounds import GraphFacts, _wanted_rules, certify, m0_threshold
 from .enumeration import (
     _check_connected_order,
     _check_unicyclic_order,
@@ -25,7 +26,7 @@ from .enumeration import (
     enumerate_unicyclic_nonbipartite,
 )
 from .families import FAMILIES, generate_family
-from .graphs import Graph, Graph6Error, from_graph6, to_graph6
+from .graphs import Graph, Graph6Error, from_graph6, read_graph6_lines, to_graph6
 from .partitions import (
     Partition,
     coarsest_equitable_refinement,
@@ -34,7 +35,7 @@ from .partitions import (
     quotient_matrix,
 )
 from .spectral import graph_profile
-from .survey import SurveyRecord, _check_threads, leaf_increment_profile, m0_curve, survey
+from .survey import SurveyRecord, _check_threads, leaf_increment_profile, survey
 
 __all__ = ["main"]
 
@@ -71,29 +72,9 @@ def _record(header: str, values: tuple, as_json: bool) -> str:
 # graph input
 
 
-def _decoded(text: str) -> tuple[str, Graph]:
-    """The graph6 text to echo, less any ``>>graph6<<`` header, and its graph.
-
-    The decoder accepts one order field per order, so the echo equals
-    ``to_graph6`` of the graph.
-    """
-    return text.removeprefix(">>graph6<<").rstrip("\n"), from_graph6(text)
-
-
-def _decode_lines(lines: Iterable[str], source: str) -> Iterator[tuple[str, Graph]]:
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            yield _decoded(text)
-        except Graph6Error as exc:
-            raise Graph6Error(f"{source}, line {lineno}: {exc}") from None
-
-
 def _decode_file(fh: IO[str], path: str) -> Iterator[tuple[str, Graph]]:
     with fh:
-        yield from _decode_lines(fh, path)
+        yield from read_graph6_lines(fh, path)
 
 
 def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
@@ -107,10 +88,11 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     if inline and path:
         raise UsageError("give an input file or --g6 strings, not both")
     if inline:
-        return map(_decoded, inline)
+        # each string is one graph, decoded as given, so errors need no location
+        return ((t.removeprefix(">>graph6<<").rstrip("\n"), from_graph6(t)) for t in inline)
     if path:
         return _decode_file(open(path, "r", encoding="ascii"), path)
-    return _decode_lines(sys.stdin, "<stdin>")
+    return read_graph6_lines(sys.stdin, "<stdin>")
 
 
 def _single_graph(args: argparse.Namespace) -> tuple[str, Graph]:
@@ -192,6 +174,8 @@ def _parse_rules(text: Optional[str]) -> Optional[list[str]]:
     if text is None:
         return None
     rules = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not rules:
+        raise UsageError("--rules names no rule")
     try:
         _wanted_rules(rules)
     except ValueError as exc:
@@ -372,8 +356,8 @@ def _cmd_m0_curve(args: argparse.Namespace, out: IO[str]) -> int:
         raise UsageError("m0 threshold needs n >= 3")
     if not args.json:
         print(M0_CSV_HEADER, file=out)
-    for point in m0_curve(orders):
-        print(_record(M0_CSV_HEADER, point, args.json), file=out)
+    for n in orders:
+        print(_record(M0_CSV_HEADER, (n, m0_threshold(n)), args.json), file=out)
     return 0
 
 
@@ -469,9 +453,12 @@ def _replaced_on_success(path: str) -> Iterator[IO[str]]:
 
     It is written as a sibling temporary file, renamed over ``path`` at
     the end and removed if the block raises, so a failed run leaves an
-    existing file as it was.  A symbolic link is followed, so the file it
-    points to is replaced and the link kept.  A path that exists and is
-    not a regular file (``/dev/null``, a pipe) is written in place.
+    existing file as it was.  The new file keeps the permission bits of
+    the file it replaces, or gets the umask's mode when there was none,
+    as a plain ``open`` would.  Being a new file, it is not seen through
+    a hard link to the old one.  A symbolic link is followed, so the file
+    it points to is replaced and the link kept.  A path that exists and
+    is not a regular file (``/dev/null``, a pipe) is written in place.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -486,9 +473,13 @@ def _replaced_on_success(path: str) -> Iterator[IO[str]]:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(fd, 0o666 & ~umask)  # the mode a plain open would give
+            try:
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.chmod(fd, mode)
             yield fh
         os.replace(tmp, target)
     except BaseException:

@@ -218,12 +218,23 @@ def to_graph6(g: Graph) -> str:
     return head + six[: (nbits + 5) // 6].translate(_B64_TO_G6).decode("ascii")
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode an iterable of graph6 lines, skipping blank ones."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield from_graph6(line)
+def read_graph6_lines(lines: Iterable[str], source: str = "<input>") -> Iterator[tuple[str, Graph]]:
+    """Decode graph6 lines, skipping blank ones, into ``(text, graph)`` pairs.
+
+    ``text`` is the stripped line less any ``>>graph6<<`` header; the
+    decoder accepts one order field per order, so it equals ``to_graph6``
+    of the graph.  A bad line raises :class:`Graph6Error` located as
+    ``"<source>, line k: ..."``, counting lines from 1.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except Graph6Error as exc:
+            raise Graph6Error(f"{source}, line {lineno}: {exc}") from None
+        yield text.removeprefix(">>graph6<<"), g
 
 
 # ---------------------------------------------------------------------------

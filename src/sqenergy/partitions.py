@@ -59,16 +59,9 @@ class Partition:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
-
     @staticmethod
     def of(blocks: Iterable[Iterable[int]]) -> "Partition":
         return Partition(tuple(tuple(sorted(b)) for b in blocks))
-
-    def singleton_free_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.blocks if len(b) > 1)
 
 
 def parse_partition(text: str) -> Partition:
@@ -226,7 +219,7 @@ def twin_quotient_spectrum(g: Graph, x: Partition) -> Spectrum:
     if not q.equitable:
         raise ValueError("twin partition failed the exact equitability check")
     quo = quotient_eigenvalues(q)
-    return spectrum_from_values(list(quo.values) + extra, n=g.n)
+    return spectrum_from_values(list(quo.values) + extra)
 
 
 @dataclass(frozen=True)

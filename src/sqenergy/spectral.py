@@ -8,7 +8,6 @@ characteristic polynomial) backs up multiplicity questions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +24,6 @@ __all__ = [
     "zero_tolerance",
     "eigenvalues",
     "spectrum_from_values",
-    "inertia_of",
     "energy_profile",
     "graph_profile",
     "perron_vector",
@@ -53,14 +51,6 @@ class Spectrum:
     zero_tol: float
 
     @property
-    def positive(self) -> tuple[float, ...]:
-        return tuple(v for v in self.values if v > self.zero_tol)
-
-    @property
-    def negative(self) -> tuple[float, ...]:
-        return tuple(v for v in self.values if v < -self.zero_tol)
-
-    @property
     def fragile(self) -> bool:
         """True when some eigenvalue sits within 10x of the zero tolerance."""
         return any(
@@ -86,11 +76,11 @@ class EnergyProfile:
     inertia: Inertia
 
 
-def spectrum_from_values(values: Iterable[float], n: int | None = None) -> Spectrum:
+def spectrum_from_values(values: Iterable[float]) -> Spectrum:
     """Wrap raw real eigenvalues (any order) with the standard tolerance."""
     vals = tuple(sorted((float(v) for v in values), reverse=True))
     top = max((abs(v) for v in vals), default=0.0)
-    return Spectrum(vals, zero_tolerance(n if n is not None else len(vals), top))
+    return Spectrum(vals, zero_tolerance(len(vals), top))
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -101,13 +91,12 @@ def eigenvalues(g: Graph) -> Spectrum:
     return Spectrum(vals, zero_tolerance(g.n, max(vals[0], -vals[-1], 0.0)))
 
 
-def inertia_of(spectrum: Spectrum) -> Inertia:
-    """Count positive / zero / negative eigenvalues at the spectrum's tolerance."""
-    return energy_profile(spectrum).inertia
-
-
 def energy_profile(spectrum: Spectrum) -> EnergyProfile:
-    pos, neg = spectrum.positive, spectrum.negative
+    """Square energies, energy and inertia; the one place eigenvalues are
+    split by sign at the spectrum's zero tolerance."""
+    tol = spectrum.zero_tol
+    pos = [v for v in spectrum.values if v > tol]
+    neg = [v for v in spectrum.values if v < -tol]
     s_plus = float(sum(v * v for v in pos))
     s_minus = float(sum(v * v for v in neg))
     energy = float(sum(abs(v) for v in spectrum.values))
@@ -214,47 +203,38 @@ def char_poly_exact(g: Graph) -> IntPolynomial:
 
 
 def rank_exact(g: Graph) -> int:
-    """Rank of the adjacency matrix.
+    """Exact rank of the adjacency matrix, for order up to 64.
 
-    Exact up to order 64, by fraction-free Gaussian elimination (Bareiss,
-    Math. Comp. 22, 1968) on the 0/1 integer rows: every entry stays an
-    integer minor of A, so each division by the previous pivot is exact.
-    A is symmetric, so n minus this rank is the zero-root multiplicity of
-    the characteristic polynomial.  Beyond the cap it falls back to
-    counting eigenvalues outside the zero tolerance and warns that the
-    value is no longer certified exact.
+    Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968) on
+    the 0/1 integer rows: every entry stays an integer minor of A, so each
+    division by the previous pivot is exact.  A is symmetric, so n minus
+    this rank is the zero-root multiplicity of the characteristic
+    polynomial.  Raises ValueError above the cap, as char_poly_exact does.
     """
-    if g.n <= EXACT_ORDER_CAP:
-        # Only the columns right of the last pivot column are kept; a row
-        # that becomes all zero stays zero and is dropped.
-        rows = [[r >> v & 1 for v in range(g.n)] for r in g.rows if r]
-        rank, prev = 0, 1
-        while rows:
-            i = next((i for i, r in enumerate(rows) if r[0]), None)
-            if i is None:
-                rows = [r[1:] for r in rows]
-                continue
-            pivot = rows.pop(i)
-            p, tail = pivot[0], pivot[1:]
-            reduced = []
-            for r in rows:
-                c = r[0]
-                if c:
-                    r = [(p * a - c * b) // prev for a, b in zip(r[1:], tail)]
-                elif p == prev:  # a zero in the pivot column only rescales by p / prev
-                    r = r[1:]
-                else:
-                    r = [p * a // prev for a in r[1:]]
-                if any(r):
-                    reduced.append(r)
-            rows, prev = reduced, p
-            rank += 1
-        return rank
-    warnings.warn(
-        f"order {g.n} exceeds the exact cap {EXACT_ORDER_CAP}; "
-        "falling back to tolerance-based rank",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    spec = eigenvalues(g)
-    return len(spec.positive) + len(spec.negative)
+    if g.n > EXACT_ORDER_CAP:
+        raise ValueError(f"exact rank capped at n <= {EXACT_ORDER_CAP}")
+    # Only the columns right of the last pivot column are kept; a row
+    # that becomes all zero stays zero and is dropped.
+    rows = [[r >> v & 1 for v in range(g.n)] for r in g.rows if r]
+    rank, prev = 0, 1
+    while rows:
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(i)
+        p, tail = pivot[0], pivot[1:]
+        reduced = []
+        for r in rows:
+            c = r[0]
+            if c:
+                r = [(p * a - c * b) // prev for a, b in zip(r[1:], tail)]
+            elif p == prev:  # a zero in the pivot column only rescales by p / prev
+                r = r[1:]
+            else:
+                r = [p * a // prev for a in r[1:]]
+            if any(r):
+                reduced.append(r)
+        rows, prev = reduced, p
+        rank += 1
+    return rank

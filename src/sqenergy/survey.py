@@ -25,7 +25,6 @@ __all__ = [
     "RuleCoverage",
     "CoverageReport",
     "survey",
-    "m0_curve",
     "leaf_increment_profile",
     "certify_corpus",
 ]
@@ -209,11 +208,6 @@ def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyReco
             yield from pool.imap(_record, graphs, chunksize=64)
 
     return run()
-
-
-def m0_curve(ns: Iterable[int]) -> list[tuple[int, float]]:
-    """The cycle half-length threshold m0(n) over a range of orders."""
-    return [(n, m0_threshold(n)) for n in ns]
 
 
 def leaf_increment_profile(g: Graph) -> list[tuple[float, float]]:

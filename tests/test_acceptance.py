@@ -20,6 +20,7 @@ from sqenergy.bounds import (
     edge_deletion_bound,
     energy_count_bound,
     induced_bipartite_bound,
+    m0_threshold,
     moving_neighbors_bound,
     unicyclic_fractional_bound,
     certify,
@@ -37,8 +38,8 @@ from sqenergy.graphs import (
     to_graph6,
 )
 from sqenergy.partitions import Partition, quotient_eigenvalues, quotient_matrix, twin_quotient_spectrum
-from sqenergy.spectral import char_poly_exact, eigenvalues, graph_profile, inertia_of, rank_exact
-from sqenergy.survey import m0_curve, survey
+from sqenergy.spectral import char_poly_exact, eigenvalues, energy_profile, graph_profile, rank_exact
+from sqenergy.survey import survey
 
 # ---------------------------------------------------------------------------
 # frozen reference values
@@ -403,13 +404,13 @@ def test_criterion_08_bound_soundness(connected_upto7):
 
 
 def test_criterion_09_m0_threshold():
-    ((_, value),) = m0_curve([100])
+    value = m0_threshold(100)
     assert abs(value - 7.38) <= 0.01
 
     rng = random.Random(0x0D15EA5E)
     for _ in range(30):
         n = rng.randint(40, 90)
-        m_low = math.ceil(value if n == 100 else m0_curve([n])[0][1])
+        m_low = math.ceil(value if n == 100 else m0_threshold(n))
         m = rng.randint(m_low, (n - 1) // 2)
         cycle_len = 2 * m + 1
         edges = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
@@ -425,7 +426,7 @@ def test_criterion_09_m0_threshold():
 def test_criterion_10_zero_multiplicity_exactness(connected_upto7):
     mismatches = 0
     for g in connected_upto7:
-        tol_zero = inertia_of(eigenvalues(g)).zero
+        tol_zero = energy_profile(eigenvalues(g)).inertia.zero
         exact_zero = char_poly_exact(g).zero_root_multiplicity()
         assert rank_exact(g) == g.n - exact_zero
         if tol_zero != exact_zero:

@@ -164,6 +164,15 @@ class TestSelfJoin:
         with pytest.raises(ValueError, match="cross edge"):
             check_self_join(g, split=(list(range(8)), list(range(8, 16))))
 
+    @pytest.mark.parametrize(
+        "split",
+        [(range(8), range(8)), ([0, 1, 2, 3, 4, 5, 6, 7, 7], range(8, 16))],
+        ids=["overlapping", "vertex-twice"],
+    )
+    def test_split_that_is_not_a_partition_raises(self, split):
+        with pytest.raises(ValueError, match="join split must partition the vertex set"):
+            check_self_join(complete_graph(16), split=split)
+
     def test_unbalanced_explicit_split_inapplicable(self):
         g = complete_bipartite_graph(8, 8)
         assert check_self_join(g, split=(list(range(7)), list(range(7, 16)))) is None

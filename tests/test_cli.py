@@ -120,6 +120,12 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--g6", K4, "--rules", "nonsense")
         assert code == 2 and "unknown rule" in err
 
+    @pytest.mark.parametrize("rules", ["", ","])
+    def test_rules_naming_no_rule_are_a_usage_error(self, rules, capsys):
+        code, out, err = run(capsys, "certify", "--rules", rules, "--g6", TRIANGLE)
+        assert (code, out) == (2, [])
+        assert err == "sqenergy: usage error: --rules names no rule\n"
+
     def test_unknown_rules_message_matches_the_library(self, capsys):
         with pytest.raises(ValueError) as exc:
             certify_corpus([], rules=["zz", "avg_degree", "aa"])
@@ -540,6 +546,24 @@ class TestOutputFile:
             assert main(["scan", "--n", "5", "--records", str(dest)]) == 0
         assert second.read_bytes() == first.read_bytes()
         assert len(first.read_text().splitlines()) == 21
+
+    @pytest.mark.parametrize("flag", ["-o", "--records"])
+    def test_a_replaced_file_keeps_its_mode(self, flag, capsys, tmp_path):
+        dest = tmp_path / "out.txt"
+        dest.write_bytes(b"old\n")
+        dest.chmod(0o600)
+        assert main(["scan", "--n", "4", flag, str(dest)]) == 0
+        assert dest.read_bytes() != b"old\n"
+        assert dest.stat().st_mode & 0o777 == 0o600
+
+    def test_a_new_file_gets_the_umask_mode(self, capsys, tmp_path):
+        dest = tmp_path / "out.txt"
+        old = os.umask(0o027)
+        try:
+            assert main(["energies", "--g6", TRIANGLE, "-o", str(dest)]) == 0
+        finally:
+            os.umask(old)
+        assert dest.stat().st_mode & 0o777 == 0o640
 
     def test_a_symlink_is_kept_and_its_target_replaced(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

@@ -144,7 +144,14 @@ class TestGraph6:
 
     def test_read_lines_skips_blanks(self):
         got = list(read_graph6_lines(["Bw\n", "", "  \n", "@\n"]))
-        assert [g.n for g in got] == [3, 1]
+        assert [(text, g.n) for text, g in got] == [("Bw", 3), ("@", 1)]
+
+    def test_read_lines_locates_a_bad_line(self):
+        lines = read_graph6_lines(["Bw\n", "B\x07\n"], "f.g6")
+        assert next(lines)[0] == "Bw"
+        with pytest.raises(Graph6Error) as info:
+            next(lines)
+        assert str(info.value).startswith("f.g6, line 2:")
 
     @given(graphs())
     def test_roundtrip_property(self, g):

@@ -38,8 +38,7 @@ class TestPartition:
     def test_of_sorts_blocks(self):
         p = Partition.of([[2, 0], [1]])
         assert p.blocks == ((0, 2), (1,))
-        assert p.n == 3 and p.size == 2
-        assert p.singleton_free_blocks() == ((0, 2),)
+        assert p.n == 3 and len(p.blocks) == 2
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty partition block"):

@@ -27,7 +27,6 @@ from sqenergy.spectral import (
     eigenvalues,
     energy_profile,
     graph_profile,
-    inertia_of,
     perron_vector,
     rank_exact,
     spectrum_from_values,
@@ -54,8 +53,8 @@ class TestSpectrumBasics:
         root = math.sqrt(6)
         assert spec.values[0] == pytest.approx(root, abs=1e-12)
         assert spec.values[-1] == pytest.approx(-root, abs=1e-12)
-        assert inertia_of(spec) == inertia_of(spec)
-        assert inertia_of(spec).zero == 3
+        assert energy_profile(spec).inertia == energy_profile(spec).inertia
+        assert energy_profile(spec).inertia.zero == 3
 
     def test_path_closed_form(self):
         n = 6
@@ -81,13 +80,13 @@ class TestSpectrumBasics:
         assert prof.s_plus == 0.0 and prof.s_minus == 0.0
 
     def test_spectrum_from_values_sorts(self):
-        spec = spectrum_from_values([1.0, -2.0, 0.5], n=3)
+        spec = spectrum_from_values([1.0, -2.0, 0.5])
         assert spec.values == (1.0, 0.5, -2.0)
 
     def test_fragile_flag(self):
         spec = Spectrum((1.0, 5e-9, -1.0), 1e-9)
         assert spec.fragile
-        assert inertia_of(spec).fragile
+        assert energy_profile(spec).inertia.fragile
         spec = Spectrum((1.0, 0.0, -1.0), 1e-9)
         assert not spec.fragile
 
@@ -241,16 +240,13 @@ class TestRank:
         assert rank_exact(path_graph(5)) == 4
         assert rank_exact(from_edges(3, [])) == 0
 
-    def test_fallback_warns_beyond_cap(self):
-        g = path_graph(EXACT_ORDER_CAP + 1)
-        with pytest.warns(RuntimeWarning, match="tolerance-based rank"):
-            r = rank_exact(g)
-        # odd path has a single zero eigenvalue
-        assert r == EXACT_ORDER_CAP
+    def test_raises_beyond_cap(self):
+        with pytest.raises(ValueError, match=r"exact rank capped at n <= 64"):
+            rank_exact(path_graph(EXACT_ORDER_CAP + 1))
 
     @given(graphs(max_n=10))
     def test_rank_agrees_with_inertia(self, g):
-        inert = inertia_of(eigenvalues(g))
+        inert = energy_profile(eigenvalues(g)).inertia
         assert rank_exact(g) == inert.positive + inert.negative
 
 

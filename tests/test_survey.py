@@ -17,7 +17,6 @@ from sqenergy.survey import (
     _rounding_flag,
     certify_corpus,
     leaf_increment_profile,
-    m0_curve,
     survey,
 )
 
@@ -161,13 +160,13 @@ def test_coverage_through_order_seven_is_pinned(connected_by_order):
 
 class TestProfiles:
     def test_m0_curve_values(self):
-        curve = m0_curve([5, 100])
+        curve = [(n, m0_threshold(n)) for n in (5, 100)]
         assert curve[0][0] == 5
         assert curve[1][1] == pytest.approx(m0_threshold(100))
         assert curve[1][1] == pytest.approx(7.380092, abs=1e-5)
 
     def test_m0_curve_is_increasing(self):
-        values = [v for _, v in m0_curve(range(5, 60, 5))]
+        values = [m0_threshold(n) for n in range(5, 60, 5)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_leaf_increment_profile(self):
