@@ -104,13 +104,17 @@ class GraphFacts:
         return energy_profile(self.spectrum)
 
     @cached_property
+    def _exact_rank(self) -> Optional[int]:
+        return rank_exact(self.graph) if self.graph.n <= EXACT_ORDER_CAP else None
+
+    @cached_property
     def inertia(self) -> Inertia:
         """The spectrum's tolerance inertia, checked up to the exact cap:
         raises ArithmeticError when its zero count differs from n - rank(A).
         """
         inertia = self.profile.inertia
-        if self.graph.n <= EXACT_ORDER_CAP:
-            zero = self.graph.n - rank_exact(self.graph)
+        if self._exact_rank is not None:
+            zero = self.graph.n - self._exact_rank
             if zero != inertia.zero:
                 raise ArithmeticError(
                     f"tolerance classified {inertia.zero} zero eigenvalues, "
@@ -129,6 +133,17 @@ class GraphFacts:
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:
     return g if isinstance(g, GraphFacts) else GraphFacts(g)
+
+
+def _solved_facts(g: Graph, spectrum: Spectrum, rank: Optional[int]) -> GraphFacts:
+    """Facts whose spectrum, and exact rank unless it is None, were solved
+    ahead, as ``spectral.spectra_and_ranks`` gives them for a corpus; a
+    missing rank is computed on first use, as for any ``GraphFacts``."""
+    f = GraphFacts(g)
+    f.spectrum = spectrum  # assigning fills a cached_property's cache
+    if rank is not None:
+        f._exact_rank = rank
+    return f
 
 
 @dataclass(frozen=True)

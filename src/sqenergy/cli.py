@@ -26,7 +26,7 @@ from .enumeration import (
     enumerate_unicyclic_nonbipartite,
 )
 from .families import FAMILIES, generate_family
-from .graphs import Graph, Graph6Error, from_graph6, read_graph6_lines, to_graph6
+from .graphs import Graph, Graph6Error, read_graph6_lines, to_graph6
 from .partitions import (
     Partition,
     coarsest_equitable_refinement,
@@ -88,8 +88,12 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     if inline and path:
         raise UsageError("give an input file or --g6 strings, not both")
     if inline:
-        # each string is one graph, decoded as given, so errors need no location
-        return ((t.removeprefix(">>graph6<<").rstrip("\n"), from_graph6(t)) for t in inline)
+        # each string is one graph, decoded as a file line is ("line k" is
+        # the k-th string); a blank one is an error, where a file skips it
+        for k, text in enumerate(inline, start=1):
+            if not text.strip():
+                raise Graph6Error(f"--g6, line {k}: blank graph6 string")
+        return read_graph6_lines(inline, "--g6")
     if path:
         return _decode_file(open(path, "r", encoding="ascii"), path)
     return read_graph6_lines(sys.stdin, "<stdin>")

@@ -3,13 +3,15 @@
 Floating-point eigenvalues come from a dense symmetric solver and are
 classified against a tolerance scaled to the order and spectral radius;
 exact integer arithmetic (the rank by fraction-free elimination, and the
-characteristic polynomial) backs up multiplicity questions.
+characteristic polynomial) backs up multiplicity questions.  A corpus is
+solved in same-order stacks: one ``eigvalsh`` call per stack and, up to
+order 22, one int64 fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,11 +31,16 @@ __all__ = [
     "perron_vector",
     "char_poly_exact",
     "rank_exact",
+    "spectra_and_ranks",
     "EXACT_ORDER_CAP",
 ]
 
 ZERO_TOL_FLOOR = 1e-9
 EXACT_ORDER_CAP = 64
+# Every entry of a Bareiss elimination on a 0/1 matrix is a minor, at most
+# Hadamard's (k+1)^((k+1)/2) / 2^k for a k x k minor, and each update
+# forms a difference of two products of such minors: 2 H(22)^2 < 2^63.
+_INT64_RANK_CAP = 22
 
 _EPS = float(np.finfo(float).eps)
 
@@ -87,8 +94,12 @@ def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of g, non-increasing."""
     if g.n == 0:
         return Spectrum((), ZERO_TOL_FLOOR)
-    vals = tuple(np.linalg.eigvalsh(g.adjacency_matrix())[::-1].tolist())
-    return Spectrum(vals, zero_tolerance(g.n, max(vals[0], -vals[-1], 0.0)))
+    return _spectrum(np.linalg.eigvalsh(g.adjacency_matrix())[::-1].tolist())
+
+
+def _spectrum(values: list[float]) -> Spectrum:
+    """The Spectrum of a non-empty non-increasing eigenvalue list."""
+    return Spectrum(tuple(values), zero_tolerance(len(values), max(values[0], -values[-1], 0.0)))
 
 
 def energy_profile(spectrum: Spectrum) -> EnergyProfile:
@@ -237,4 +248,72 @@ def rank_exact(g: Graph) -> int:
                 reduced.append(r)
         rows, prev = reduced, p
         rank += 1
+    return rank
+
+
+def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[int]]]:
+    """Each graph's spectrum, equal to ``eigenvalues(g)``, and its exact
+    rank for orders 1 to 22 (None otherwise).
+
+    Graphs of one order from 1 to 64 are stacked into one (k, n, n)
+    array: one ``eigvalsh`` call solves the stack, and up to order 22
+    one int64 fraction-free elimination ranks it.  Order 0 and orders
+    above 64 take ``eigenvalues`` per graph.  A caller that needs the
+    rank of a graph left without one asks ``rank_exact``, up to its cap.
+    """
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    out: list = [None] * len(graphs)
+    for n, idx in by_order.items():
+        group = [graphs[i] for i in idx]
+        ranks = [None] * len(group)
+        if 0 < n <= EXACT_ORDER_CAP:
+            a = _adjacency_stack(group, n)
+            spectra = [_spectrum(v) for v in np.linalg.eigvalsh(a.astype(float))[:, ::-1].tolist()]
+            if n <= _INT64_RANK_CAP:
+                ranks = _bareiss_ranks(a).tolist()
+        else:
+            spectra = [eigenvalues(g) for g in group]
+        for i, spectrum, rank in zip(idx, spectra, ranks):
+            out[i] = (spectrum, rank)
+    return out
+
+
+def _adjacency_stack(group: list[Graph], n: int) -> np.ndarray:
+    """The 0/1 adjacency matrices of same-order graphs as a (k, n, n) uint8
+    stack, unpacked from the row bitsets as ``Graph.adjacency_matrix`` does."""
+    w = (n + 7) // 8
+    packed = b"".join([r.to_bytes(w, "little") for g in group for r in g.rows])
+    table = np.frombuffer(packed, dtype=np.uint8).reshape(len(group) * n, w)
+    return np.unpackbits(table, axis=1, count=n, bitorder="little").reshape(len(group), n, n)
+
+
+def _bareiss_ranks(a: np.ndarray) -> np.ndarray:
+    """Exact ranks of a (k, n, n) stack of 0/1 matrices, n <= _INT64_RANK_CAP.
+
+    The elimination of ``rank_exact``, column by column over the whole
+    stack: each matrix pivots on its first nonzero entry in the column,
+    or skips the column when it has none.  A pivot row is zeroed once
+    used, so only unused rows can hold a nonzero entry.
+    """
+    m = a.astype(np.int64)
+    k, n, _ = m.shape
+    stack = np.arange(k)
+    prev = np.ones(k, dtype=np.int64)
+    rank = np.zeros(k, dtype=np.int64)
+    for j in range(n):
+        nonzero = m[:, :, j] != 0
+        has = nonzero.any(axis=1)
+        piv = nonzero.argmax(axis=1)
+        # a matrix without a pivot here keeps p = prev and has c = 0 in
+        # every row, so the update leaves it unchanged
+        p = np.where(has, m[stack, piv, j], prev)
+        prow = m[stack, piv, j + 1 :]
+        m[stack[has], piv[has]] = 0
+        c = m[:, :, j]
+        tail = m[:, :, j + 1 :]
+        tail[...] = (p[:, None, None] * tail - c[:, :, None] * prow[:, None, :]) // prev[:, None, None]
+        prev = p
+        rank += has
     return rank

@@ -9,15 +9,16 @@ can never silently hide a counterexample.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, GraphFacts, _meets_floor, _wanted_rules, certify, m0_threshold
+from .bounds import CERTIFY_RULES, _meets_floor, _solved_facts, _wanted_rules, certify, m0_threshold
 from .graphs import Graph, add_leaf, stats, to_graph6
-from .spectral import graph_profile
+from .spectral import graph_profile, spectra_and_ranks
 
 __all__ = [
     "SurveyRecord",
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # s_plus vs s_minus, and each minimum vs its ties
+_CORPUS_CHUNK = 256  # graphs certify_corpus solves at a time
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,8 @@ def certify_corpus(
 ) -> CoverageReport:
     """Run the certificate pipeline over a corpus and tally coverage.
 
+    The corpus is read 256 graphs at a time, and each chunk's spectra
+    and exact ranks are solved together by ``spectra_and_ranks``.
     Unknown rule names raise ValueError before any graph is read.
     """
     rules = _wanted_rules(rules)
@@ -260,22 +264,24 @@ def certify_corpus(
     covered_plus = covered_minus = covered_both = 0
     uncovered: list[str] = []
     min_slack = math.inf
-    for g in graphs:
-        total += 1
-        facts = GraphFacts(g)
-        prof = facts.profile
-        min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (g.n - 1))
-        certs = certify(facts, rules=rules)
-        for cert in certs:
-            fired[cert.rule] += 1
-            conclusive[cert.rule] += cert.conclusive
-        plus_ok = any(c.covers("s_plus") for c in certs)
-        minus_ok = any(c.covers("s_minus") for c in certs)
-        covered_plus += plus_ok
-        covered_minus += minus_ok
-        covered_both += plus_ok and minus_ok
-        if not (plus_ok and minus_ok):
-            uncovered.append(to_graph6(g))
+    it = iter(graphs)
+    while chunk := list(itertools.islice(it, _CORPUS_CHUNK)):
+        for g, (spectrum, rank) in zip(chunk, spectra_and_ranks(chunk)):
+            total += 1
+            facts = _solved_facts(g, spectrum, rank)
+            prof = facts.profile
+            min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (g.n - 1))
+            certs = certify(facts, rules=rules)
+            for cert in certs:
+                fired[cert.rule] += 1
+                conclusive[cert.rule] += cert.conclusive
+            plus_ok = any(c.covers("s_plus") for c in certs)
+            minus_ok = any(c.covers("s_minus") for c in certs)
+            covered_plus += plus_ok
+            covered_minus += minus_ok
+            covered_both += plus_ok and minus_ok
+            if not (plus_ok and minus_ok):
+                uncovered.append(to_graph6(g))
     return CoverageReport(
         total=total,
         per_rule={r: RuleCoverage(fired[r], conclusive[r]) for r in CERTIFY_RULES},
@@ -285,3 +291,4 @@ def certify_corpus(
         uncertified=tuple(uncovered),
         min_slack=min_slack,
     )
+

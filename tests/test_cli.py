@@ -75,7 +75,24 @@ class TestEnergies:
         code, out, _ = run(capsys, "energies", "--g6", ">>graph6<<Bw", "--g6", "Bw\n")
         assert code == 0 and [row.split(",")[0] for row in out[1:]] == ["Bw", "Bw"]
         code, _, err = run(capsys, "energies", "--g6", "~??Bw")
-        assert code == 1 and err == "sqenergy: error: non-canonical graph6 order field (byte 0)\n"
+        assert code == 1 and err == "sqenergy: error: --g6, line 1: non-canonical graph6 order field (byte 0)\n"
+
+    def test_inline_strings_decode_as_stdin_lines(self, capsys, monkeypatch):
+        code, inline, err = run(capsys, "energies", "--g6", " Bw", "--g6", "C~\t")
+        assert (code, err) == (0, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO(" Bw\nC~\t\n"))
+        assert (0, inline) == run(capsys, "energies")[:2]
+        assert [row.split(",")[0] for row in inline[1:]] == ["Bw", "C~"]
+
+    def test_bad_inline_string_is_located(self, capsys):
+        code, _, err = run(capsys, "energies", "--g6", TRIANGLE, "--g6", "B\x07")
+        assert code == 1 and err == "sqenergy: error: --g6, line 2: invalid graph6 byte 7 (byte 1)\n"
+
+    @pytest.mark.parametrize("blank", ["", " ", "\n"])
+    def test_blank_inline_string_is_an_error(self, capsys, blank):
+        code, out, err = run(capsys, "energies", "--g6", TRIANGLE, "--g6", blank)
+        assert (code, out) == (1, [])
+        assert err == "sqenergy: error: --g6, line 2: blank graph6 string\n"
 
     def test_bad_graph6_exits_one(self, capsys):
         code, _, err = run(capsys, "energies", "--g6", '"')

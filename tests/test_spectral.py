@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sqenergy.families import (
     path_graph,
     star_graph,
 )
-from sqenergy.graphs import from_edges
+from sqenergy.graphs import complement, from_edges, from_graph6
 from sqenergy.spectral import (
     EXACT_ORDER_CAP,
     ZERO_TOL_FLOOR,
@@ -29,6 +30,7 @@ from sqenergy.spectral import (
     graph_profile,
     perron_vector,
     rank_exact,
+    spectra_and_ranks,
     spectrum_from_values,
     zero_tolerance,
 )
@@ -285,5 +287,59 @@ class TestSympyOracle:
 
     def test_rank_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
-        for g in _oracle_corpus():
+        corpus = _oracle_corpus()
+        for g, (_, stacked) in zip(corpus, spectra_and_ranks(corpus)):
             assert rank_exact(g) == self._matrix(sympy, g).rank(), g
+            assert stacked == (rank_exact(g) if g.n else None), g
+
+
+CONNECTED8 = Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"
+
+
+def _random_graph(rng: random.Random, n: int, p: float):
+    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def _solved_one_by_one(graphs) -> list:
+    return [(eigenvalues(g), rank_exact(g) if 0 < g.n <= 22 else None) for g in graphs]
+
+
+class TestSpectraAndRanks:
+    """The stacked corpus path against the per-graph eigenvalues and rank_exact."""
+
+    def test_every_connected_order_eight_graph(self):
+        corpus = [from_graph6(line) for line in CONNECTED8.read_text(encoding="ascii").split()]
+        assert len(corpus) == 11117
+        assert spectra_and_ranks(corpus) == _solved_one_by_one(corpus)
+
+    def test_seeded_random_graphs_of_orders_zero_to_thirty(self):
+        rng = random.Random(20261019)
+        corpus = [
+            _random_graph(rng, n, p) for n in range(31) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(3)
+        ]
+        # dense graphs on both sides of the int64 cap: near-complete, and
+        # complements of sparse graphs, whose ranks are full or nearly so
+        for n in (22, 23):
+            corpus += [_random_graph(rng, n, 0.97) for _ in range(5)]
+            corpus += [complement(_random_graph(rng, n, 0.08)) for _ in range(5)]
+            corpus.append(complete_graph(n))
+        rng.shuffle(corpus)
+        assert spectra_and_ranks(corpus) == _solved_one_by_one(corpus)
+
+    def test_one_graph_stacks_and_orders_changing_inside_a_stack(self):
+        rng = random.Random(7)
+        corpus = [_random_graph(rng, n, 0.5) for n in (5, 5, 9, 5, 1, 9, 0, 23, 5)]
+        expected = _solved_one_by_one(corpus)
+        assert spectra_and_ranks(corpus) == expected
+        assert [spectra_and_ranks([g])[0] for g in corpus] == expected
+        assert spectra_and_ranks([]) == []
+
+    def test_ranks_stop_at_the_int64_cap(self):
+        corpus = [complete_graph(n) for n in (21, 22, 23, 64)]
+        assert [r for _, r in spectra_and_ranks(corpus)] == [21, 22, None, None]
+
+    def test_order_zero_and_orders_above_the_exact_cap(self):
+        big = path_graph(EXACT_ORDER_CAP + 1)
+        (s0, r0), (s1, r1) = spectra_and_ranks([from_edges(0, []), big])
+        assert (s0, r0) == (Spectrum((), ZERO_TOL_FLOOR), None)
+        assert (s1, r1) == (eigenvalues(big), None)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import random
 
 import pytest
 
+import sqenergy.bounds as bounds_module
+import sqenergy.spectral as spectral_module
 from sqenergy.bounds import m0_threshold
 from sqenergy.canon import canonical_form
 from sqenergy.enumeration import enumerate_connected
@@ -19,6 +23,9 @@ from sqenergy.survey import (
     leaf_increment_profile,
     survey,
 )
+
+# the package's ``survey`` attribute is the function, not this module
+survey_module = importlib.import_module("sqenergy.survey")
 
 
 class TestSurvey:
@@ -137,6 +144,52 @@ class TestCoverage:
         for tag in report.uncertified:
             g = from_graph6(tag)
             assert 2 <= g.n <= 5
+
+
+class TestStackedCoverage:
+    """certify_corpus solves spectra, and ranks up to order 22, in stacks."""
+
+    def test_report_does_not_depend_on_the_chunking(self, monkeypatch, connected_by_order):
+        corpus = [g for n in range(1, 8) for g in connected_by_order[n]]
+        random.Random(3).shuffle(corpus)  # orders change inside every chunk
+        whole = certify_corpus(corpus)
+        for chunk in (1, 5):
+            monkeypatch.setattr(survey_module, "_CORPUS_CHUNK", chunk)
+            assert certify_corpus(corpus) == whole
+
+    def test_no_per_graph_eigensolve_or_rank(self, monkeypatch, small_corpus):
+        def refuse(g):
+            pytest.fail(f"per-graph call on {to_graph6(g)}")
+
+        expected = certify_corpus(small_corpus)
+        monkeypatch.setattr(bounds_module, "eigenvalues", refuse)
+        monkeypatch.setattr(bounds_module, "rank_exact", refuse)
+        assert certify_corpus(small_corpus) == expected
+
+    def test_ranks_above_the_int64_cap_are_computed_only_when_read(self, monkeypatch):
+        def refuse(g):
+            pytest.fail("rank_exact called for a rule that never reads the inertia")
+
+        monkeypatch.setattr(bounds_module, "rank_exact", refuse)
+        assert certify_corpus([path_graph(30)], rules=["avg_degree"]).total == 1
+
+    @pytest.mark.parametrize(
+        "module, kernel, order",
+        [(spectral_module, "_bareiss_ranks", 4), (bounds_module, "rank_exact", 30)],
+    )
+    def test_rank_disagreeing_with_the_inertia_raises(self, monkeypatch, module, kernel, order):
+        # paths have rank n or n - 1; one less than the true rank is one
+        # zero eigenvalue too many for the tolerance inertia; the stacked
+        # rank stops at order 22, past it GraphFacts ranks the graph itself
+        true_rank = getattr(module, kernel)
+        monkeypatch.setattr(module, kernel, lambda a: true_rank(a) - 1)
+        g = path_graph(order)
+        zero = order % 2
+        with pytest.raises(
+            ArithmeticError,
+            match=f"tolerance classified {zero} zero eigenvalues, exact rank says {zero + 1}",
+        ):
+            certify_corpus([g])
 
 
 def test_coverage_through_order_seven_is_pinned(connected_by_order):
