@@ -795,10 +795,7 @@ def extended_barbell_closed_form(k: int) -> ExtendedBarbellForm:
         raise ArithmeticError("cubic sanity value at -1 is off")
     if f(Fraction(-9, 5)) != Fraction(14 * k, 25) - Fraction(194, 125):
         raise ArithmeticError("cubic sanity value at -9/5 is off")
-    roots = np.roots(np.array(coeffs, dtype=float))
-    if float(np.max(np.abs(roots.imag))) > 1e-9:
-        raise ArithmeticError("cubic produced complex roots")
-    mu1, mu2, mu3 = sorted((float(t) for t in roots.real), reverse=True)
+    mu1, mu2, mu3 = spectrum_from_values(np.roots(np.array(coeffs, dtype=float))).values
     if not (mu1 > k - 1 > mu2 > -1 > mu3 and mu3 < -9.0 / 5.0 and mu2 > 0):
         raise ArithmeticError("cubic roots violate the expected ordering")
     values = [mu1, float(k - 1), mu2] + [-1.0] * (n - 4) + [mu3]
@@ -829,10 +826,7 @@ def h3n_quotient_analysis(n: int) -> H3nAnalysis:
     if n < 5:
         raise ValueError(f"analysis needs n >= 5, got {n}")
     coeffs = (1, -1, -(n - 1), n - 3, 2 * (n - 4))
-    roots = np.roots(np.array(coeffs, dtype=float))
-    if float(np.max(np.abs(roots.imag))) > 1e-9:
-        raise ArithmeticError("quotient polynomial produced complex roots")
-    mu = tuple(sorted((float(t) for t in roots.real), reverse=True))
+    mu = spectrum_from_values(np.roots(np.array(coeffs, dtype=float))).values
     gap = mu[2] ** 2 + mu[3] ** 2 - (n - 2)
     return H3nAnalysis(coeffs, mu, gap)
 

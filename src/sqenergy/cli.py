@@ -130,8 +130,8 @@ def _add_survey_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=os.environ.get("SQENERGY_THREADS", "1"),
-        help="worker processes, from 1 to the CPU count (default: $SQENERGY_THREADS, else 1)",
+        default=1,
+        help="worker processes, from 1 to the CPU count (default: 1)",
     )
     p.add_argument("--json", action="store_true", help="JSON report per order")
     p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
@@ -303,7 +303,7 @@ def _cmd_quotient(args: argparse.Namespace, out: IO[str]) -> int:
     if args.partition is not None:
         part = parse_partition(args.partition)
     else:
-        part = Partition.of([list(range(g.n))])
+        part = Partition.of([list(range(g.n))] if g.n else [])
     if args.refine or args.partition is None:
         part = coarsest_equitable_refinement(g, part)
     q = quotient_matrix(g, part)

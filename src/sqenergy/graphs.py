@@ -80,10 +80,15 @@ class Graph:
             raise ValueError(
                 f"order {self.n} exceeds the dense matrix cap of {DENSE_ORDER_CAP} vertices"
             )
-        w = (self.n + 7) // 8  # row u as w little-endian bytes: bit v is entry (u, v)
-        packed = b"".join([r.to_bytes(w, "little") for r in self.rows])
-        table = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, w)
-        return np.unpackbits(table, axis=1, count=self.n, bitorder="little").astype(float)
+        return _unpack_rows((self,), self.n)[0].astype(float)
+
+
+def _unpack_rows(group: Sequence[Graph], n: int) -> np.ndarray:
+    """The 0/1 adjacency matrices of order-n graphs as a (k, n, n) uint8 stack."""
+    w = (n + 7) // 8  # row u as w little-endian bytes: bit v is entry (u, v)
+    packed = b"".join([r.to_bytes(w, "little") for g in group for r in g.rows])
+    table = np.frombuffer(packed, dtype=np.uint8).reshape(len(group) * n, w)
+    return np.unpackbits(table, axis=1, count=n, bitorder="little").reshape(len(group), n, n)
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, bits, component_masks
+from .graphs import Graph, _unpack_rows, bits, component_masks
 
 __all__ = [
     "Spectrum",
@@ -83,23 +83,29 @@ class EnergyProfile:
     inertia: Inertia
 
 
-def spectrum_from_values(values: Iterable[float]) -> Spectrum:
-    """Wrap raw real eigenvalues (any order) with the standard tolerance."""
-    vals = tuple(sorted((float(v) for v in values), reverse=True))
-    top = max((abs(v) for v in vals), default=0.0)
-    return Spectrum(vals, zero_tolerance(len(vals), top))
+def spectrum_from_values(values: Iterable[complex]) -> Spectrum:
+    """Wrap solver eigenvalues (any order) with the standard tolerance.
+
+    Complex values, as ``np.linalg.eigvals`` and ``np.roots`` return them,
+    must be numerically real: an imaginary part above ZERO_TOL_FLOOR is
+    an ArithmeticError, never something to truncate away.
+    """
+    vals = [complex(v) for v in values]
+    worst = max((abs(v.imag) for v in vals), default=0.0)
+    if worst > ZERO_TOL_FLOOR:
+        raise ArithmeticError(f"eigenvalues not numerically real (imag up to {worst:.3e})")
+    return _spectrum(sorted((v.real for v in vals), reverse=True))
 
 
 def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of g, non-increasing."""
-    if g.n == 0:
-        return Spectrum((), ZERO_TOL_FLOOR)
     return _spectrum(np.linalg.eigvalsh(g.adjacency_matrix())[::-1].tolist())
 
 
 def _spectrum(values: list[float]) -> Spectrum:
-    """The Spectrum of a non-empty non-increasing eigenvalue list."""
-    return Spectrum(tuple(values), zero_tolerance(len(values), max(values[0], -values[-1], 0.0)))
+    """The Spectrum of a non-increasing eigenvalue list."""
+    top = max(values[0], -values[-1], 0.0) if values else 0.0
+    return Spectrum(tuple(values), zero_tolerance(len(values), top))
 
 
 def energy_profile(spectrum: Spectrum) -> EnergyProfile:
@@ -255,11 +261,11 @@ def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[
     """Each graph's spectrum, equal to ``eigenvalues(g)``, and its exact
     rank for orders 1 to 22 (None otherwise).
 
-    Graphs of one order from 1 to 64 are stacked into one (k, n, n)
-    array: one ``eigvalsh`` call solves the stack, and up to order 22
-    one int64 fraction-free elimination ranks it.  Order 0 and orders
-    above 64 take ``eigenvalues`` per graph.  A caller that needs the
-    rank of a graph left without one asks ``rank_exact``, up to its cap.
+    Graphs of one order up to 64 are stacked into one (k, n, n) array:
+    one ``eigvalsh`` call solves the stack, and for orders 1 to 22 one
+    int64 fraction-free elimination ranks it.  Orders above 64 take
+    ``eigenvalues`` per graph.  A caller that needs the rank of a graph
+    left without one asks ``rank_exact``, up to its cap.
     """
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
@@ -268,25 +274,16 @@ def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[
     for n, idx in by_order.items():
         group = [graphs[i] for i in idx]
         ranks = [None] * len(group)
-        if 0 < n <= EXACT_ORDER_CAP:
-            a = _adjacency_stack(group, n)
+        if n <= EXACT_ORDER_CAP:
+            a = _unpack_rows(group, n)
             spectra = [_spectrum(v) for v in np.linalg.eigvalsh(a.astype(float))[:, ::-1].tolist()]
-            if n <= _INT64_RANK_CAP:
+            if 0 < n <= _INT64_RANK_CAP:
                 ranks = _bareiss_ranks(a).tolist()
         else:
             spectra = [eigenvalues(g) for g in group]
         for i, spectrum, rank in zip(idx, spectra, ranks):
             out[i] = (spectrum, rank)
     return out
-
-
-def _adjacency_stack(group: list[Graph], n: int) -> np.ndarray:
-    """The 0/1 adjacency matrices of same-order graphs as a (k, n, n) uint8
-    stack, unpacked from the row bitsets as ``Graph.adjacency_matrix`` does."""
-    w = (n + 7) // 8
-    packed = b"".join([r.to_bytes(w, "little") for g in group for r in g.rows])
-    table = np.frombuffer(packed, dtype=np.uint8).reshape(len(group) * n, w)
-    return np.unpackbits(table, axis=1, count=n, bitorder="little").reshape(len(group), n, n)
 
 
 def _bareiss_ranks(a: np.ndarray) -> np.ndarray:

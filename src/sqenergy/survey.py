@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .bounds import CERTIFY_RULES, _meets_floor, _solved_facts, _wanted_rules, certify, m0_threshold
+from .bounds import CERTIFY_RULES, _meets_floor, _solved_facts, _wanted_rules, certify
 from .graphs import Graph, add_leaf, stats, to_graph6
 from .spectral import graph_profile, spectra_and_ranks
 

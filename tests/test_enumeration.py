@@ -51,7 +51,8 @@ def g6_stream(graphs) -> bytes:
 
 
 class TestConnected:
-    @pytest.mark.parametrize("n", sorted(CONNECTED_COUNTS))
+    # order 8 is counted by the stream test, which enumerates it once
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_counts(self, n):
         assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_COUNTS[n]
 
@@ -76,7 +77,9 @@ class TestConnected:
             list(enumerate_connected(CONNECTED_MAX_N + 1))
 
     def test_order_eight_stream_matches_the_committed_corpus(self):
-        assert g6_stream(enumerate_connected(8)) == CONNECTED8_G6.read_bytes()
+        stream = g6_stream(enumerate_connected(8))
+        assert stream.count(b"\n") == CONNECTED_COUNTS[8]
+        assert stream == CONNECTED8_G6.read_bytes()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_classes_match_the_graph_atlas(self, n):

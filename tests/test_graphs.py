@@ -57,6 +57,17 @@ class TestGraphBasics:
         assert a.sum() == 2 * g.m
         assert np.all(np.diag(a) == 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17])
+    def test_adjacency_matrix_is_the_float_slice_of_the_shared_unpack(self, n):
+        group = [_seeded_graph(n, p, seed=n) for p in (0.2, 0.5, 0.9)]
+        stack = graphs_module._unpack_rows(group, n)
+        assert stack.shape == (len(group), n, n) and stack.dtype == np.uint8
+        for g, slice_ in zip(group, stack):
+            a = g.adjacency_matrix()
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert np.array_equal(a, slice_.astype(float))
+            assert a.tolist() == [[float(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+
     def test_adjacency_matrix_refuses_orders_above_the_dense_cap(self, monkeypatch):
         monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
         assert path_graph(4).adjacency_matrix().shape == (4, 4)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -29,3 +31,23 @@ def test_the_cli_stays_out_of_the_package_imports():
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
     assert "main" not in sqenergy.__all__
+
+
+def test_every_imported_name_is_read():
+    for path in sorted(pathlib.Path(sqenergy.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # the package namespace imports to re-export
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert imported <= read, f"{path.name} never reads {sorted(imported - read)}"

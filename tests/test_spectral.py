@@ -84,6 +84,29 @@ class TestSpectrumBasics:
     def test_spectrum_from_values_sorts(self):
         spec = spectrum_from_values([1.0, -2.0, 0.5])
         assert spec.values == (1.0, 0.5, -2.0)
+        assert spectrum_from_values(v for v in (1.0, -2.0, 0.5)) == spec
+        assert spectrum_from_values(iter(())) == Spectrum((), ZERO_TOL_FLOOR)
+
+    def test_spectrum_from_values_keeps_the_real_parts_of_numerically_real_input(self):
+        spec = spectrum_from_values(np.array([1.0 + 1e-9j, -2.0 - 1e-9j, 0.5 + 0j]))
+        assert spec == spectrum_from_values([1.0, -2.0, 0.5])
+        assert all(type(v) is float for v in spec.values)
+        # x^3 - x: np.roots returns a float array when every root is real
+        assert spectrum_from_values(np.roots([1.0, 0.0, -1.0, 0.0])).values == pytest.approx(
+            (1.0, 0.0, -1.0), abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 0.5 + 2e-9j, 0.5 - 2e-9j],
+            [1.0, 0.5 - 1e-6j, 0.5 + 1e-6j],
+            np.roots([1.0, 0.0, 1.0]),  # x^2 + 1
+        ],
+    )
+    def test_spectrum_from_values_rejects_imaginary_parts_above_the_budget(self, values):
+        with pytest.raises(ArithmeticError, match=r"^eigenvalues not numerically real \(imag up to "):
+            spectrum_from_values(values)
 
     def test_fragile_flag(self):
         spec = Spectrum((1.0, 5e-9, -1.0), 1e-9)
