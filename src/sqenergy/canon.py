@@ -15,13 +15,21 @@ graphs (cliques, stars, unions of twins) from exploding into factorial
 subtrees.  The automorphisms a search finds generate a subgroup of the
 automorphism group, not always all of it; ``canonical_pair`` hands them
 out for callers that only use them to skip equivalent work.
+
+Inside the search a cell is a bitmask of its vertices, so a fresh
+cell is its own count mask, and splitting a cell by adjacency to one
+vertex is a single ``&``.  Each leaf is kept as the rows of the graph
+it labels; leaves compare row by row, so the winning leaf's rows are
+the canonical graph and the key is read off them, without a relabelling
+pass.  ``refine`` relabels its input onto the same kernel, keeping every
+cell's vertex order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graphs import Graph, _row_bits, relabel
+from .graphs import Graph, _row_bits
 
 __all__ = [
     "canonical_form",
@@ -30,70 +38,102 @@ __all__ = [
 ]
 
 
-def refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def refine(rows: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Equitable refinement preserving cell order.
 
     Repeatedly splits every cell by the vector of neighbour counts into
     all current cells; sub-cells are ordered by that signature so the
-    outcome is isomorphism-invariant.  Empty cells are dropped.
+    outcome is isomorphism-invariant, and each keeps its vertices in
+    their input order.  Empty cells are dropped.
     """
-    cells = [c for c in cells if c]
-    return _refine(rows, cells, [_mask(c) for c in cells]) if cells else cells
+    order = [v for cell in cells for v in cell]
+    if not order:
+        return []
+    # relabel so that every cell is a run of consecutive labels in its input
+    # order; the kernel keeps each sub-cell ascending, hence in that order
+    bit = [0] * len(rows)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    local = [sum(map(bit.__getitem__, _row_bits(rows[v]))) for v in order]
+    masks = []
+    start = 0
+    for cell in cells:
+        if cell:
+            masks.append(((1 << len(cell)) - 1) << start)
+            start += len(cell)
+    return [tuple([order[i] for i in _row_bits(m)]) for m in _refine(local, masks, masks)]
 
 
-def _mask(cell: Iterable[int]) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
-
-
-def _refine(
-    rows: tuple[int, ...], cells: list[tuple[int, ...]], fresh: list[int]
-) -> list[tuple[int, ...]]:
-    """``refine`` given the cells whose counts can still differ within a cell.
+def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
+    """``refine`` on cells given as bitmasks, and the cells whose counts can still differ.
 
     ``fresh`` lists those cells as bitmasks, in cell order.  Vertices of
     one cell agree on their counts into every other cell, so comparing
-    counts into the fresh cells orders them as the full vectors would.
-    After a split, the sub-cells are fresh except the last of each split
-    cell, whose count is the old cell's count minus the others'.  A
+    counts into the fresh cells orders them as the full vectors would.  A
     vertex's counts are packed into one integer, the first fresh cell's
-    count most significant.
+    count most significant, and sub-cells are ordered by it; a two-vertex
+    cell compares its two count vectors up to the first difference.  When
+    the only fresh cell is one vertex w, a count is adjacency to w, and a
+    cell splits into the rest, then ``cell & rows[w]``.  After a split,
+    the sub-cells are fresh except the last of each split cell, whose
+    count is the old cell's count minus the others'.  A discrete
+    partition is returned at once.
     """
     width = len(rows).bit_length()
     while True:
-        new_cells: list[tuple[int, ...]] = []
+        new_cells: list[int] = []
         next_fresh: list[int] = []
-        m = fresh[0] if len(fresh) == 1 else 0
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            if m:
-                sigs = [(rows[v] & m).bit_count() for v in cell]
-            else:
-                sigs = []
-                for v in cell:
+        if len(fresh) == 1 and fresh[0] & (fresh[0] - 1) == 0:
+            r = rows[fresh[0].bit_length() - 1]
+            for cell in cells:
+                hit = cell & r
+                if hit and hit != cell:
+                    new_cells += (cell ^ hit, hit)
+                    next_fresh.append(cell ^ hit)
+                else:
+                    new_cells.append(cell)
+        else:
+            for cell in cells:
+                high = cell & (cell - 1)
+                if not high:
+                    new_cells.append(cell)
+                    continue
+                if not high & (high - 1):
+                    # two vertices: the first count that differs orders them
+                    low = cell ^ high
+                    ra = rows[low.bit_length() - 1]
+                    rb = rows[high.bit_length() - 1]
+                    for f in fresh:
+                        d = (ra & f).bit_count() - (rb & f).bit_count()
+                        if d:
+                            break
+                    if not d:
+                        new_cells.append(cell)
+                    elif d < 0:
+                        new_cells += (low, high)
+                        next_fresh.append(low)
+                    else:
+                        new_cells += (high, low)
+                        next_fresh.append(high)
+                    continue
+                groups: dict[int, int] = {}
+                get = groups.get
+                for v in _row_bits(cell):
                     r = rows[v]
                     sig = 0
                     for f in fresh:
                         sig = sig << width | (r & f).bit_count()
-                    sigs.append(sig)
-            if sigs.count(sigs[0]) == len(sigs):
-                new_cells.append(cell)
-                continue
-            groups: dict[int, list[int]] = {}
-            for v, sig in zip(cell, sigs):
-                if sig in groups:
-                    groups[sig].append(v)
-                else:
-                    groups[sig] = [v]
-            order = sorted(groups)
-            for sig in order:
-                new_cells.append(tuple(groups[sig]))
-            next_fresh.extend(_mask(groups[sig]) for sig in order[:-1])
-        if not next_fresh:
+                    groups[sig] = get(sig, 0) | 1 << v
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                    continue
+                order = sorted(groups)
+                last = groups[order.pop()]
+                for sig in order:
+                    new_cells.append(groups[sig])
+                    next_fresh.append(groups[sig])
+                new_cells.append(last)
+        if not next_fresh or len(new_cells) == len(rows):
             return new_cells
         cells = new_cells
         fresh = next_fresh
@@ -115,83 +155,112 @@ def _orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
 
 def _canonical_search(
     n: int, rows: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """Best (max) leaf bitstring, the labelling that produces it, and the automorphisms met.
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """Rows of the best (max) leaf, the labelling that produces it, and the automorphisms met.
 
-    A cell vertex whose twin (equal open or closed neighbourhood) was
-    already tried is skipped, and the swap of the two joins the
-    automorphisms met; a cell vertex that those fixing the prefix map onto
-    a tried vertex is skipped too.  Neither kind of pruning can skip the
-    first leaf that attains the maximum, so the labelling does not depend
-    on them.
+    Leaves compare by their bitstring: row by row, the bits to the later
+    vertices, the nearest one most significant.  A cell vertex whose twin
+    (equal open or closed neighbourhood) was already tried is skipped,
+    and the swap of the two joins the automorphisms met; a cell vertex
+    that those fixing the prefix map onto a tried vertex is skipped too.
+    Neither kind of pruning can skip the first leaf that attains the
+    maximum, so the labelling does not depend on them.
     """
     if n == 0:
-        return 0, (), []
-    nbrs = [tuple(_row_bits(r)) for r in rows]
-    best_bits = -1
-    best_perm: tuple[int, ...] = ()
+        return [], [], []
+    best_rows: list[int] = []
+    best_perm: list[int] = []
     autos: list[tuple[int, ...]] = []
-    # A leaf's bitstring is row by row: row i holds its bits to the vertices
-    # after i, the nearest one most significant.  With vertex perm[j] weighted
-    # 1 << (n - 1 - j), row i is its neighbours' weight sum below 1 << (n - 1 - i).
-    place = [0] * n
-    weight = place.__getitem__
-    tails = [(n - 1 - i, (1 << (n - 1 - i)) - 1) for i in range(n)]
+    place = [0] * n  # place[v] = 1 << (v's position in the leaf)
+    bit_of = place.__getitem__
 
-    def descend(cells: list[tuple[int, ...]], fresh: list[int], prefix: tuple[int, ...]) -> None:
-        nonlocal best_bits, best_perm
+    def descend(cells: list[int], fresh: list[int], prefix: tuple[int, ...]) -> None:
+        nonlocal best_rows, best_perm
         cells = _refine(rows, cells, fresh)
-        for target, cell in enumerate(cells):
-            if len(cell) > 1:
-                break
-        else:
-            perm = tuple([c[0] for c in cells])
+        if len(cells) == n:
+            perm = [c.bit_length() - 1 for c in cells]
             for i, v in enumerate(perm):
-                place[v] = 1 << (n - 1 - i)
-            leaf = 0
-            for v, (shift, below) in zip(perm, tails):
-                leaf = leaf << shift | sum(map(weight, nbrs[v])) & below
-            if leaf > best_bits:
-                best_bits = leaf
-                best_perm = perm
-            elif leaf == best_bits and perm != best_perm:
+                place[v] = 1 << i
+            leaf = [sum(map(bit_of, _row_bits(rows[v]))) for v in perm]
+            if leaf == best_rows:
                 sigma = [0] * n
                 for pi, bi in zip(perm, best_perm):
                     sigma[pi] = bi
                 autos.append(tuple(sigma))
+                return
+            if best_rows:
+                # the first row that differs differs only at later vertices;
+                # the nearest of those is its lowest differing bit
+                for a, b in zip(leaf, best_rows):
+                    if a != b:
+                        break
+                d = a ^ b
+                if not d & -d & a:
+                    return
+            best_rows = leaf
+            best_perm = perm
             return
+        target = 0
+        for cell in cells:
+            if cell & (cell - 1):
+                break
+            target += 1
         head = cells[:target]
         tail = cells[target + 1 :]
         tried = 0
-        for v in cell:
+        fixing: list[tuple[int, ...]] = []  # the automorphisms met that fix the prefix
+        checked = 0
+        for v in _row_bits(cell):
             if tried:
-                rv, cv = rows[v], rows[v] | 1 << v
-                twins = (u for u in _row_bits(tried) if rows[u] == rv or rows[u] | 1 << u == cv)
-                twin = next(twins, -1)
+                rv = rows[v]
+                cv = rv | 1 << v
+                twin = -1
+                for u in _row_bits(tried):
+                    ru = rows[u]
+                    if ru == rv or ru | 1 << u == cv:
+                        twin = u
+                        break
                 if twin >= 0:
                     sigma = list(range(n))
                     sigma[twin], sigma[v] = v, twin
                     autos.append(tuple(sigma))
                     continue
-                if _orbit(v, [s for s in autos if all(s[p] == p for p in prefix)]) & tried:
+                if checked < len(autos):
+                    fixing += [s for s in autos[checked:] if all(s[p] == p for p in prefix)]
+                    checked = len(autos)
+                if fixing and _orbit(v, fixing) & tried:
                     continue
             tried |= 1 << v
-            rest = tuple([w for w in cell if w != v])
-            descend(head + [(v,), rest] + tail, [1 << v], prefix + (v,))
+            bit = 1 << v
+            descend(head + [bit, cell ^ bit] + tail, [bit], prefix + (v,))
 
-    descend([tuple(range(n))], [(1 << n) - 1], ())
-    return best_bits, best_perm, autos
+    everyone = (1 << n) - 1
+    descend([everyone], [everyone], ())
+    return best_rows, best_perm, autos
 
 
-def _key(n: int, leaf: int) -> bytes:
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _key(n: int, rows: Sequence[int]) -> bytes:
+    """Order header plus the leaf bitstring of the graph with these rows."""
     nbits = n * (n - 1) // 2
-    return n.to_bytes(4, "big") + leaf.to_bytes((nbits + 7) // 8 or 1, "big")
+    nbytes = (nbits + 7) // 8 or 1
+    # the bits to later vertices, nearest first, laid out from the least
+    # significant end after 8 * nbytes - nbits pad bits; reversing every
+    # bit turns that into the big-endian bitstring
+    low = 0
+    shift = 8 * nbytes - nbits
+    for i, r in enumerate(rows):
+        low |= r >> (i + 1) << shift
+        shift += n - 1 - i
+    return n.to_bytes(4, "big") + low.to_bytes(nbytes, "little").translate(_REVERSED_BITS)
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical key: order header plus the maximal adjacency bitstring."""
-    leaf, _, _ = _canonical_search(g.n, g.rows)
-    return _key(g.n, leaf)
+    rows, _, _ = _canonical_search(g.n, g.rows)
+    return _key(g.n, rows)
 
 
 def canonical_pair(g: Graph, automorphisms: bool = False) -> tuple:
@@ -203,15 +272,15 @@ def canonical_pair(g: Graph, automorphisms: bool = False) -> tuple:
     the canonical graph's vertices: ``(key, canon, labels, generators)``.
     They generate a subgroup of the automorphism group, possibly trivial.
     """
-    leaf, perm, autos = _canonical_search(g.n, g.rows)
-    key = _key(g.n, leaf)
-    canon = relabel(g, perm) if g.n else g
+    rows, perm, autos = _canonical_search(g.n, g.rows)
+    key = _key(g.n, rows)
+    canon = Graph(g.n, tuple(rows))
     if not automorphisms:
         return key, canon
     labels = [0] * g.n
     for i, v in enumerate(perm):
         labels[v] = i
-    generators = tuple(tuple(labels[sigma[v]] for v in perm) for sigma in autos)
+    generators = tuple(tuple([labels[sigma[v]] for v in perm]) for sigma in autos)
     return key, canon, tuple(labels), generators
 
 

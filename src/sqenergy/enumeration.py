@@ -16,8 +16,9 @@ degree of h, then, only between leaves that tie on that degree, the
 pair (sum of the degrees of h's neighbours, sum of that same sum over
 h's neighbours).  A child is kept only if removing the canonical leaf
 gives back the parent it was grown from.  A child whose new leaf has a
-larger invariant than some other leaf is rejected before any canonical
-labelling.  Each survivor is labelled once; its new leaf being the
+larger invariant than some other leaf is rejected before it is built:
+its invariants are read off a per-parent table, adjusted for the one
+attachment.  Each survivor is labelled once; its new leaf being the
 canonical deletion, or in the same orbit under the automorphisms that
 search found, accepts it without further work, and otherwise one
 canonical form of the child minus the canonical deletion decides (at
@@ -32,6 +33,7 @@ byte-identical sequences.
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Iterator
 
 from .canon import _orbit, canonical_form, canonical_pair
@@ -64,12 +66,12 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     level: dict[bytes, Graph] = {canonical_pair(k1)[0]: k1}
     for k in range(1, n):
         grown: dict[bytes, Graph] = {}
+        # spread[mask][u]: the bit that joins u to the new vertex k when u is in mask
+        spread = [tuple([(mask >> u & 1) << k for u in range(k)]) for mask in range(1 << k)]
         for parent in level.values():
             rows = parent.rows
             for mask in range(1, 1 << k):
-                child_rows = tuple(
-                    r | ((mask >> u & 1) << k) for u, r in enumerate(rows)
-                ) + (mask,)
+                child_rows = (*map(or_, rows, spread[mask]), mask)
                 key, canon = canonical_pair(Graph(k + 1, child_rows))
                 if key not in grown:
                     grown[key] = canon
@@ -95,10 +97,12 @@ def enumerate_unicyclic_nonbipartite(n: int) -> Iterator[Graph]:
             grown: Level = []
             for parent_key, parent, parent_gens in level:
                 seen: set[bytes] = set()
-                for child in _leaf_children(parent, parent_gens):
-                    ties = _tied_leaves(child.rows)
+                table = _leaf_table(parent.rows)
+                for v in _attachments(parent.n, parent_gens):
+                    ties = _tied_leaves(table, v)
                     if ties is None:
                         continue
+                    child = add_leaf(parent, v)
                     key, canon, labels, gens = canonical_pair(child, automorphisms=True)
                     if key in seen:
                         continue
@@ -107,7 +111,7 @@ def enumerate_unicyclic_nonbipartite(n: int) -> Iterator[Graph]:
                     w = max(ties, key=labels.__getitem__, default=k)
                     if labels[w] < labels[k]:
                         w = k
-                    others = (v for v in range(k + 1) if v != w)
+                    others = (u for u in range(k + 1) if u != w)
                     if (
                         w == k
                         or _orbit(labels[k], gens) >> labels[w] & 1
@@ -132,52 +136,78 @@ def _check_unicyclic_order(n: int) -> None:
         raise ValueError(f"unicyclic enumeration capped at n <= {UNICYCLIC_MAX_N}")
 
 
-def _tied_leaves(rows: tuple[int, ...]) -> list[int] | None:
-    """The other leaves whose invariant equals the new (last) leaf's.
+# (rows, degree, leaves, fine) of a parent: leaves pairs each leaf with its
+# neighbour, and fine memoises (s1(h), s2(h)) per vertex h, where s1(x) sums
+# the degrees of x's neighbours and s2(h) sums s1 over h's neighbours
+LeafTable = tuple[tuple[int, ...], list[int], list[tuple[int, int]], dict[int, tuple[int, int]]]
+
+
+def _leaf_table(rows: tuple[int, ...]) -> LeafTable:
+    """The per-parent table that ``_tied_leaves`` updates for one attachment."""
+    degree = [r.bit_count() for r in rows]
+    leaves = [(v, r.bit_length() - 1) for v, r in enumerate(rows) if degree[v] == 1]
+    return rows, degree, leaves, {}
+
+
+def _parent_fine(table: LeafTable, h: int) -> tuple[int, int]:
+    """The parent's (s1(h), s2(h)), computed once per parent and vertex."""
+    rows, degree, _, fine = table
+    f = fine.get(h)
+    if f is None:
+        near = _row_bits(rows[h])
+        s1 = sum([degree[u] for u in near])
+        s2 = sum([degree[w] for u in near for w in _row_bits(rows[u])])
+        f = fine[h] = (s1, s2)
+    return f
+
+
+def _tied_leaves(table: LeafTable, v: int) -> list[int] | None:
+    """The other leaves whose invariant equals the new leaf's, when it hangs on v.
 
     A leaf's invariant is, for its neighbour h, first the degree of h,
-    then ``(s1(h), s2(h))``: ``s1(x)`` sums the degrees of x's
-    neighbours and ``s2(h)`` sums ``s1`` over h's neighbours.  The second
-    step is computed only for the leaves that tie with the new leaf on
-    the first.  None when some leaf has a smaller invariant, which rules
-    the new leaf out as the canonical deletion.
+    then ``(s1(h), s2(h))``.  The second step is taken only for the
+    leaves that tie with the new leaf on the first.  None when some leaf
+    has a smaller invariant, which rules the new leaf out as the
+    canonical deletion.  Values are the child's, read off the parent's
+    table: the attachment raises the degree of v by one, so s1 rises by
+    one at v and at its neighbours, and s2(h) by the number of h's
+    neighbours among v and v's neighbours, which at v itself is
+    2 deg(v) + 1.  v itself is no leaf of the child.
     """
-    k = len(rows) - 1
-    hub = rows[k].bit_length() - 1
-    degree = rows[hub].bit_count()
+    rows, degree, leaves, _ = table
+    mine = degree[v] + 1
     ties = []
-    for v in range(k):
-        if rows[v].bit_count() == 1:
-            d = rows[rows[v].bit_length() - 1].bit_count()
-            if d < degree:
-                return None
-            if d == degree:
-                ties.append(v)
-    if not ties:
-        return ties
-
-    def s1(x: int) -> int:
-        return sum(rows[u].bit_count() for u in _row_bits(rows[x]))
-
-    def fine(h: int) -> tuple[int, int]:
-        return s1(h), sum(map(s1, _row_bits(rows[h])))
-
-    mine = fine(hub)
-    finer = []
-    for v in ties:
-        f = fine(rows[v].bit_length() - 1)
-        if f < mine:
+    for leaf, h in leaves:
+        if leaf == v:
+            continue
+        d = degree[h] + (h == v)
+        if d < mine:
             return None
-        if f == mine:
-            finer.append(v)
+        if d == mine:
+            ties.append((leaf, h))
+    if not ties:
+        return []
+    s1, s2 = _parent_fine(table, v)
+    mine_fine = (s1 + 1, s2 + 2 * degree[v] + 1)
+    near = rows[v]
+    finer = []
+    for leaf, h in ties:
+        if h != v:
+            a = near >> h & 1
+            s1, s2 = _parent_fine(table, h)
+            f = (s1 + a, s2 + (rows[h] & near).bit_count() + a)
+            if f < mine_fine:
+                return None
+            if f > mine_fine:
+                continue
+        finer.append(leaf)
     return finer
 
 
-def _leaf_children(parent: Graph, gens: Generators) -> Iterator[Graph]:
-    """The parent plus a pendant vertex on each vertex, up to gens."""
+def _attachments(n: int, gens: Generators) -> Iterator[int]:
+    """The vertices 0..n-1, one per orbit of gens (its smallest)."""
     attached = 0
-    for v in range(parent.n):
+    for v in range(n):
         if not attached >> v & 1:
             attached |= _orbit(v, gens)
-            yield add_leaf(parent, v)
-
+            yield v

@@ -100,11 +100,16 @@ def bits(mask: int) -> Iterator[int]:
 
 
 _BYTE_BITS = [tuple(bits(b)) for b in range(256)]
+_HIGH_BYTE_BITS = [tuple(v + 8 for v in vs) for vs in _BYTE_BITS]
 
 
 def _row_bits(mask: int) -> Iterable[int]:
-    """``bits(mask)``, from a table when the mask fits in a byte."""
-    return _BYTE_BITS[mask] if mask < 256 else bits(mask)
+    """``bits(mask)``, from byte tables when the mask fits in two bytes."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    return bits(mask)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

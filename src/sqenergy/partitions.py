@@ -63,7 +63,13 @@ class Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "0,1;2;3,4,5" into a Partition (semicolons between blocks)."""
+    """Parse "0,1;2;3,4,5" into a Partition (semicolons between blocks).
+
+    Blank text is the partition of no blocks, the empty graph's; an empty
+    block anywhere else is an error.
+    """
+    if not text.strip():
+        return Partition(())
     try:
         blocks = [
             [int(tok) for tok in part.split(",") if tok.strip() != ""]

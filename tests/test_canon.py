@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from sqenergy.canon import (
     is_isomorphic,
     refine,
 )
+from sqenergy.enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
 from sqenergy.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -23,7 +26,7 @@ from sqenergy.families import (
     path_graph,
     star_graph,
 )
-from sqenergy.graphs import complement, from_edges, from_graph6, relabel, to_graph6
+from sqenergy.graphs import Graph, add_leaf, complement, from_edges, from_graph6, relabel, to_graph6
 
 
 def refine_by_full_vectors(rows, cells):
@@ -131,10 +134,14 @@ class TestCanonicalForm:
 
     @given(graphs(max_n=12), st.randoms(use_true_random=False))
     def test_refine_matches_full_count_vectors(self, g, rnd):
-        # only the cells that changed are counted into; the result must not notice
+        # only the cells that changed are counted into, and refine relabels its
+        # input onto the kernel; the result, vertex order within cells included,
+        # must not notice
         cells = [[] for _ in range(rnd.randint(1, 3))]
         for v in range(g.n):
             rnd.choice(cells).append(v)
+        for cell in cells:
+            rnd.shuffle(cell)
         cells = [tuple(c) for c in cells]
         assert refine(g.rows, cells) == refine_by_full_vectors(g.rows, cells)
 
@@ -253,3 +260,93 @@ class TestIsIsomorphic:
         # C4 + K1 and K_{1,4} share the spectrum but are not isomorphic
         c4_k1 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert not is_isomorphic(c4_k1, star_graph(5))
+
+
+def search_digest(inputs) -> str:
+    """sha256 of everything one search hands out, per input graph in turn."""
+    h = hashlib.sha256()
+    for g in inputs:
+        key, canon, labels, generators = canonical_pair(g, automorphisms=True)
+        h.update(repr((key, canon.rows, labels, generators)).encode())
+    return h.hexdigest()
+
+
+def connected_children(k: int):
+    """The order-(k + 1) children that ``enumerate_connected`` labels: each class
+    of order k plus a new vertex on every non-empty neighbour set."""
+    for parent in enumerate_connected(k):
+        for mask in range(1, 1 << k):
+            rows = tuple(r | (mask >> u & 1) << k for u, r in enumerate(parent.rows))
+            yield Graph(k + 1, rows + (mask,))
+
+
+def unicyclic_children(n: int):
+    """A superset of what ``enumerate_unicyclic_nonbipartite(n)`` labels: every
+    odd cycle up to order n and every pendant child of each class below n."""
+    for c in range(3, n + 1, 2):
+        yield cycle_graph(c)
+    for k in range(3, n):
+        for parent in enumerate_unicyclic_nonbipartite(k):
+            for v in range(k):
+                yield add_leaf(parent, v)
+
+
+def random_graphs():
+    """Seeded G(n, p) at orders 0, 1 and 9-20 (rows of 256 and up take the
+    table-free bit loop), sparse to dense so twins and isolated vertices occur."""
+    rng = random.Random(20140060)
+    for n in (0, 1, *range(9, 21)):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(2):
+                yield from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def symmetric_graphs():
+    """Vertex-transitive and twin-rich graphs up to order 20, each with seeded
+    relabellings, so orbit pruning runs on rows of 256 and up."""
+    rng = random.Random(60)
+    base = [
+        petersen(), hypercube(3), hypercube(4), circulant(12, (1, 5)), circulant(13, (1, 5)),
+        circulant(10, (1, 4)), copies(cycle_graph(5), 2), copies(cycle_graph(4), 3),
+        complete_bipartite_graph(3, 3), copies(petersen(), 2), complete_graph(8), star_graph(9),
+        complete_bipartite_graph(5, 6), copies(complete_graph(3), 6),
+    ]
+    for g in base:
+        yield g
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield relabel(g, perm)
+
+
+# Digests of (key, canon.rows, labels, generators): any change to the search
+# that moves a canonical form, a labelling or a found automorphism shows here.
+IDENTITY_SHA256 = {
+    "connected7": "d5670b175e68b9eedd412b43191f2760ae7755551a3e877b112b54ed3c1006d7",
+    "unicyclic11": "48d2e8e3b227fd5108e735f29cff0acae7e64cb2976ccaca3d3064abaa71aaad",
+    "random": "e2aea51b0f18bf89a03ab8028d461a3c56b84217dd46fc11250451b134c726f3",
+    "symmetric": "58402dc779bb049f8db2e58a2c3b3cb16fb6bc4fab231c6b9ce06c3ed9125dc4",
+    "connected8": "b65569fb64b5c4dcb1b64934b54e87f6f9eee53be0f2d55f0663c79b32e003a7",
+}
+
+
+class TestSearchIdentity:
+    def test_connected_children_up_to_order_7(self):
+        inputs = (g for k in range(1, 7) for g in connected_children(k))
+        assert search_digest(inputs) == IDENTITY_SHA256["connected7"]
+
+    def test_unicyclic_children_up_to_order_11(self):
+        assert search_digest(unicyclic_children(11)) == IDENTITY_SHA256["unicyclic11"]
+
+    def test_seeded_random_graphs(self):
+        assert search_digest(random_graphs()) == IDENTITY_SHA256["random"]
+
+    def test_symmetric_graphs(self):
+        assert search_digest(symmetric_graphs()) == IDENTITY_SHA256["symmetric"]
+
+    @pytest.mark.skipif(
+        os.environ.get("SQENERGY_EXTENDED") != "1",
+        reason="108331 order-8 children; set SQENERGY_EXTENDED=1 to run",
+    )
+    def test_canonical_identity_extended(self):
+        assert search_digest(connected_children(7)) == IDENTITY_SHA256["connected8"]

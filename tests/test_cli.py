@@ -311,6 +311,24 @@ class TestQuotient:
             "eigenvalues": [],
         }
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_blank_partition_of_the_empty_graph_is_the_default(self, capsys, json_flag):
+        default = run(capsys, "quotient", "--g6", "?", *json_flag)
+        assert run(capsys, "quotient", "--g6", "?", "--partition", "", *json_flag) == default
+        assert default[0] == 0
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_trailing_empty_block_is_an_error(self, capsys, json_flag):
+        code, out, err = run(capsys, "quotient", "--g6", TRIANGLE, "--partition", "0;1,2;", *json_flag)
+        assert (code, out) == (1, [])
+        assert err == "sqenergy: error: empty partition block\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_blank_partition_of_a_nonempty_graph_is_an_error(self, capsys, json_flag):
+        code, out, err = run(capsys, "quotient", "--g6", STAR5, "--partition", "", *json_flag)
+        assert (code, out) == (1, [])
+        assert err == "sqenergy: error: partition covers 0 vertices, graph has 5\n"
+
     def test_needs_exactly_one_graph(self, capsys):
         code, _, err = run(capsys, "quotient", "--g6", STAR5, "--g6", K4)
         assert code == 1 and "exactly one graph" in err

@@ -15,7 +15,7 @@ from sqenergy.enumeration import (
     enumerate_connected,
     enumerate_unicyclic_nonbipartite,
 )
-from sqenergy.graphs import cactus_profile, from_edges, stats, to_graph6
+from sqenergy.graphs import add_leaf, bits, cactus_profile, from_edges, stats, to_graph6
 
 CONNECTED8_G6 = Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"
 
@@ -48,6 +48,26 @@ def _no_search(*args, **kwargs):
 
 def g6_stream(graphs) -> bytes:
     return "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
+
+
+def tied_leaves_from_rows(rows):
+    """The leaves whose invariant equals the new (last) leaf's, from the child's own rows;
+    None when some leaf's invariant is smaller."""
+    degree = [r.bit_count() for r in rows]
+
+    def s1(x):
+        return sum(degree[u] for u in bits(rows[x]))
+
+    def invariant(leaf):
+        h = rows[leaf].bit_length() - 1
+        return degree[h], s1(h), sum(s1(x) for x in bits(rows[h]))
+
+    k = len(rows) - 1
+    mine = invariant(k)
+    others = {v: invariant(v) for v in range(k) if degree[v] == 1}
+    if any(inv < mine for inv in others.values()):
+        return None
+    return [v for v, inv in others.items() if inv == mine]
 
 
 class TestConnected:
@@ -118,6 +138,15 @@ class TestUnicyclic:
     def test_stream_is_pinned(self, n):
         digest = hashlib.sha256(g6_stream(enumerate_unicyclic_nonbipartite(n))).hexdigest()
         assert digest == UNICYCLIC_STREAM_SHA256[n]
+
+    def test_leaf_table_matches_the_child_rows(self):
+        # the per-parent table adjusted for one attachment reads the child's invariants
+        for k in range(3, 11):
+            for parent in enumerate_unicyclic_nonbipartite(k):
+                table = sqenergy.enumeration._leaf_table(parent.rows)
+                for v in range(k):
+                    expected = tied_leaves_from_rows(add_leaf(parent, v).rows)
+                    assert sqenergy.enumeration._tied_leaves(table, v) == expected
 
     def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
         # labelling every pendant child takes 18382 searches at order 12; a leaf

@@ -58,6 +58,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="unparseable"):
             parse_partition("0,x;1")
 
+    def test_parse_blank_is_the_partition_of_no_blocks(self):
+        assert parse_partition("") == parse_partition(" ") == Partition(())
+        assert parse_partition("").n == 0
+        with pytest.raises(ValueError, match="empty partition block"):
+            parse_partition("0;1,2;")
+
 
 class TestQuotientMatrix:
     def test_star_quotient(self):
