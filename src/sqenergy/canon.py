@@ -21,8 +21,7 @@ cell is its own count mask, and splitting a cell by adjacency to one
 vertex is a single ``&``.  Each leaf is kept as the rows of the graph
 it labels; leaves compare row by row, so the winning leaf's rows are
 the canonical graph and the key is read off them, without a relabelling
-pass.  ``refine`` relabels its input onto the same kernel, keeping every
-cell's vertex order.
+pass.  Colour refinement in ``partitions`` runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -38,36 +37,14 @@ __all__ = [
 ]
 
 
-def refine(rows: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Equitable refinement preserving cell order.
+def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
+    """Equitable refinement of the ordered cells, given as bitmasks.
 
     Repeatedly splits every cell by the vector of neighbour counts into
-    all current cells; sub-cells are ordered by that signature so the
-    outcome is isomorphism-invariant, and each keeps its vertices in
-    their input order.  Empty cells are dropped.
-    """
-    order = [v for cell in cells for v in cell]
-    if not order:
-        return []
-    # relabel so that every cell is a run of consecutive labels in its input
-    # order; the kernel keeps each sub-cell ascending, hence in that order
-    bit = [0] * len(rows)
-    for i, v in enumerate(order):
-        bit[v] = 1 << i
-    local = [sum(map(bit.__getitem__, _row_bits(rows[v]))) for v in order]
-    masks = []
-    start = 0
-    for cell in cells:
-        if cell:
-            masks.append(((1 << len(cell)) - 1) << start)
-            start += len(cell)
-    return [tuple([order[i] for i in _row_bits(m)]) for m in _refine(local, masks, masks)]
-
-
-def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
-    """``refine`` on cells given as bitmasks, and the cells whose counts can still differ.
-
-    ``fresh`` lists those cells as bitmasks, in cell order.  Vertices of
+    all current cells, ordering the sub-cells by that signature so the
+    outcome is isomorphism-invariant; a cell that does not split keeps
+    its place.  ``fresh`` lists the cells whose counts can still differ,
+    as bitmasks, in cell order: on the first call, every cell.  Vertices of
     one cell agree on their counts into every other cell, so comparing
     counts into the fresh cells orders them as the full vectors would.  A
     vertex's counts are packed into one integer, the first fresh cell's

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import stat
@@ -18,7 +19,7 @@ import sys
 import tempfile
 from typing import IO, Iterable, Iterator, Optional
 
-from .bounds import GraphFacts, _wanted_rules, certify, m0_threshold
+from .bounds import _wanted_rules, m0_threshold
 from .enumeration import (
     _check_connected_order,
     _check_unicyclic_order,
@@ -35,7 +36,7 @@ from .partitions import (
     quotient_matrix,
 )
 from .spectral import graph_profile
-from .survey import SurveyRecord, _check_threads, leaf_increment_profile, survey
+from .survey import SurveyRecord, _certified, _check_threads, leaf_increment_profile, survey
 
 __all__ = ["main"]
 
@@ -189,13 +190,11 @@ def _parse_rules(text: Optional[str]) -> Optional[list[str]]:
 
 def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
     rules = _parse_rules(args.rules)
-    for g6, g in _input_graphs(args):
-        facts = GraphFacts(g)
-        certs = certify(facts, rules=rules)
+    inputs, graphs = itertools.tee(_input_graphs(args))
+    solved = _certified((g for _, g in graphs), rules)
+    for (g6, g), (facts, certs, plus_ok, minus_ok) in zip(inputs, solved):
         prof = facts.profile
         floor = g.n - 1
-        plus_ok = any(c.covers("s_plus") for c in certs)
-        minus_ok = any(c.covers("s_minus") for c in certs)
         if args.json:
             record = {
                 "graph6": g6,

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import graphs
-from .canon import refine
+from .canon import _refine
 from .graphs import Graph, bits
 from .spectral import Spectrum, spectrum_from_values
 
@@ -136,14 +136,14 @@ def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
 
     Classic colour refinement: split every block by the vector of
     neighbour counts into current blocks until stable.  Deterministic:
-    sub-blocks are ordered by their count signature, and the final blocks
-    are sorted by (size, smallest vertex).
+    each block is ascending, and the blocks are sorted by (size, smallest
+    vertex), whatever the order of the seed's blocks and their vertices.
     """
     if seed.n != g.n:
         raise ValueError(f"partition covers {seed.n} vertices, graph has {g.n}")
-    blocks = refine(g.rows, [tuple(b) for b in seed.blocks])
-    blocks.sort(key=lambda b: (len(b), b[0]))
-    return Partition(tuple(blocks))
+    masks = [sum(1 << v for v in block) for block in seed.blocks]
+    blocks = [tuple(bits(m)) for m in _refine(g.rows, masks, masks)]
+    return Partition(tuple(sorted(blocks, key=lambda b: (len(b), b[0]))))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,6 @@ class Inertia:
     positive: int
     zero: int
     negative: int
-    fragile: bool = False
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def energy_profile(spectrum: Spectrum) -> EnergyProfile:
     s_minus = float(sum(v * v for v in neg))
     energy = float(sum(abs(v) for v in spectrum.values))
     zero = len(spectrum.values) - len(pos) - len(neg)
-    inertia = Inertia(len(pos), zero, len(neg), spectrum.fragile)
+    inertia = Inertia(len(pos), zero, len(neg))
     return EnergyProfile(s_plus, s_minus, energy, inertia)
 
 

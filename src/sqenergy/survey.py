@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # s_plus vs s_minus, and each minimum vs its ties
-_CORPUS_CHUNK = 256  # graphs certify_corpus solves at a time
+_CORPUS_CHUNK = 256  # graphs _certified solves at a time
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,26 @@ class CoverageReport:
     min_slack: float
 
 
+def _certified(
+    graphs: Iterable[Graph], rules: Optional[Iterable[str]]
+) -> Iterator[tuple]:
+    """``(facts, certificates, plus_ok, minus_ok)`` per graph: its
+    ``GraphFacts``, ``certify``'s list, and whether those certificates
+    prove the n - 1 floor for s_plus and for s_minus.
+
+    The stream is read 256 graphs at a time, and each chunk's spectra
+    and exact ranks are solved together by ``spectra_and_ranks``.
+    """
+    it = iter(graphs)
+    while chunk := list(itertools.islice(it, _CORPUS_CHUNK)):
+        for g, (spectrum, rank) in zip(chunk, spectra_and_ranks(chunk)):
+            facts = _solved_facts(g, spectrum, rank)
+            certs = certify(facts, rules=rules)
+            plus_ok = any(c.covers("s_plus") for c in certs)
+            minus_ok = any(c.covers("s_minus") for c in certs)
+            yield facts, certs, plus_ok, minus_ok
+
+
 def certify_corpus(
     graphs: Iterable[Graph], rules: Optional[Iterable[str]] = None
 ) -> CoverageReport:
@@ -264,24 +284,18 @@ def certify_corpus(
     covered_plus = covered_minus = covered_both = 0
     uncovered: list[str] = []
     min_slack = math.inf
-    it = iter(graphs)
-    while chunk := list(itertools.islice(it, _CORPUS_CHUNK)):
-        for g, (spectrum, rank) in zip(chunk, spectra_and_ranks(chunk)):
-            total += 1
-            facts = _solved_facts(g, spectrum, rank)
-            prof = facts.profile
-            min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (g.n - 1))
-            certs = certify(facts, rules=rules)
-            for cert in certs:
-                fired[cert.rule] += 1
-                conclusive[cert.rule] += cert.conclusive
-            plus_ok = any(c.covers("s_plus") for c in certs)
-            minus_ok = any(c.covers("s_minus") for c in certs)
-            covered_plus += plus_ok
-            covered_minus += minus_ok
-            covered_both += plus_ok and minus_ok
-            if not (plus_ok and minus_ok):
-                uncovered.append(to_graph6(g))
+    for facts, certs, plus_ok, minus_ok in _certified(graphs, rules):
+        total += 1
+        prof = facts.profile
+        min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (facts.graph.n - 1))
+        for cert in certs:
+            fired[cert.rule] += 1
+            conclusive[cert.rule] += cert.conclusive
+        covered_plus += plus_ok
+        covered_minus += minus_ok
+        covered_both += plus_ok and minus_ok
+        if not (plus_ok and minus_ok):
+            uncovered.append(to_graph6(facts.graph))
     return CoverageReport(
         total=total,
         per_rule={r: RuleCoverage(fired[r], conclusive[r]) for r in CERTIFY_RULES},
@@ -291,4 +305,3 @@ def certify_corpus(
         uncertified=tuple(uncovered),
         min_slack=min_slack,
     )
-

@@ -15,6 +15,7 @@ from conftest import random_connected
 
 import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
+from sqenergy.bounds import certify
 from sqenergy.cli import SURVEY_CSV_HEADER, main
 from sqenergy.enumeration import enumerate_connected
 from sqenergy.graphs import from_graph6, to_graph6
@@ -160,6 +161,63 @@ class TestCertify:
         assert "avg_degree" in rules
         cert = next(c for c in rec["certificates"] if c["rule"] == "avg_degree")
         assert cert["bound"] == 9.0 and cert["conclusive"] is True
+
+
+@pytest.fixture(scope="module")
+def mixed_orders(tmp_path_factory):
+    """300 seeded connected graphs of orders 1-70, as graph6 lines and a file.
+
+    They fill one 256-graph chunk and part of a second, and mix orders
+    ranked in the stack (1-22), ranked per graph (23-64) and solved per
+    graph (65 and up).
+    """
+    rng = random.Random(20261019)
+    lines = [to_graph6(random_connected(rng, rng.randint(1, 70), 0.2)) for _ in range(300)]
+    orders = {from_graph6(line).n for line in lines}
+    assert orders & set(range(1, 23)) and orders & set(range(23, 65)) and max(orders) > 64
+    path = tmp_path_factory.mktemp("mixed") / "mixed.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path, lines
+
+
+class TestCertifyChunks:
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_chunked_run_prints_what_one_graph_runs_do(self, flags, capsys, mixed_orders):
+        path, lines = mixed_orders
+        assert main(["certify", *flags, str(path)]) == 0
+        whole = capsys.readouterr().out
+        single = []
+        for line in lines:
+            assert main(["certify", *flags, "--g6", line]) == 0
+            single.append(capsys.readouterr().out)
+        assert whole == "".join(single)
+
+    def test_certificates_match_the_single_graph_path(self, capsys, mixed_orders):
+        path, lines = mixed_orders
+        assert main(["certify", "--json", str(path)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [rec["graph6"] for rec in records] == lines
+        for rec in records:
+            want = [c.to_json_dict() for c in certify(from_graph6(rec["graph6"]))]
+            assert rec["certificates"] == json.loads(json.dumps(want))
+
+    @pytest.mark.parametrize("bad_line", [257, 300])
+    def test_a_bad_line_after_the_first_chunk_stops_the_run(
+        self, bad_line, capsys, mixed_orders, tmp_path
+    ):
+        _, lines = mixed_orders
+        src = tmp_path / "bad.g6"
+        src.write_text("".join(line + "\n" for line in lines[: bad_line - 1]) + "zz\n")
+        dest = tmp_path / "out.txt"
+        dest.write_bytes(b"kept\n")
+        code, out, err = run(capsys, "certify", str(src), "-o", str(dest))
+        assert (code, out) == (1, []) and f"{src}, line {bad_line}:" in err
+        assert dest.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.g6", "out.txt"]
+        # on stdout, the first chunk is printed and nothing of the second
+        code, out, _ = run(capsys, "certify", str(src))
+        _, first, _ = run(capsys, "certify", *(a for line in lines[:256] for a in ("--g6", line)))
+        assert code == 1 and out == first
 
 
 class TestScan:

@@ -130,6 +130,9 @@ class TestRefinement:
             path_graph(4), Partition.of([range(4)])
         )
         assert part.blocks == ((0, 3), (1, 2))
+        # an unsorted seed block gives the same blocks, each ascending
+        part = coarsest_equitable_refinement(path_graph(4), Partition(((3, 2, 1, 0),)))
+        assert part.blocks == ((0, 3), (1, 2))
 
     def test_regular_graph_stays_whole(self):
         part = coarsest_equitable_refinement(
@@ -150,6 +153,20 @@ class TestRefinement:
         part = coarsest_equitable_refinement(g, Partition.of([[0], range(1, 6)]))
         # distance classes from vertex 0
         assert part.blocks == ((0,), (3,), (1, 5), (2, 4))
+
+    @given(graphs(max_n=9), st.randoms(use_true_random=False))
+    def test_seed_order_does_not_change_the_result(self, g, rnd):
+        blocks = [[] for _ in range(rnd.randint(1, 3))]
+        for v in range(g.n):
+            rnd.choice(blocks).append(v)
+        blocks = [b for b in blocks if b]
+        sorted_part = coarsest_equitable_refinement(g, Partition.of(blocks))
+        for b in blocks:
+            rnd.shuffle(b)
+        rnd.shuffle(blocks)
+        part = coarsest_equitable_refinement(g, Partition(tuple(map(tuple, blocks))))
+        assert part == sorted_part
+        assert all(list(b) == sorted(b) for b in part.blocks)
 
     @given(graphs(max_n=9), st.randoms(use_true_random=False))
     def test_commutes_with_relabelling(self, g, rnd):

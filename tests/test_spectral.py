@@ -111,7 +111,6 @@ class TestSpectrumBasics:
     def test_fragile_flag(self):
         spec = Spectrum((1.0, 5e-9, -1.0), 1e-9)
         assert spec.fragile
-        assert energy_profile(spec).inertia.fragile
         spec = Spectrum((1.0, 0.0, -1.0), 1e-9)
         assert not spec.fragile
 
