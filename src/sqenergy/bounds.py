@@ -234,24 +234,29 @@ def max_clique(g: Graph) -> tuple[int, ...]:
         return ()
     rows = g.rows
     if n <= _EXACT_CLIQUE_CAP:
-        best_mask = 0
+        best_mask = best_size = 0
 
-        def grow(r: int, p: int, x: int) -> None:
-            nonlocal best_mask
-            if p == 0 and x == 0:
-                if r.bit_count() > best_mask.bit_count():
-                    best_mask = r
+        def grow(r: int, size: int, p: int, x: int) -> None:
+            nonlocal best_mask, best_size
+            if not p:
+                if not x and size > best_size:
+                    best_mask, best_size = r, size
                 return
-            if r.bit_count() + p.bit_count() <= best_mask.bit_count():
+            if size + p.bit_count() <= best_size:
                 return
-            pivot = max(bits(p | x), key=lambda u: (p & rows[u]).bit_count())
-            cand = p & ~rows[pivot]
-            for v in bits(cand):
-                grow(r | 1 << v, p & rows[v], x & rows[v])
-                p &= ~(1 << v)
-                x |= 1 << v
+            # Tomita pivot: the first vertex of P | X with most neighbours in P
+            most = -1
+            for u in bits(p | x):
+                k = (p & rows[u]).bit_count()
+                if k > most:
+                    most, pivot = k, u
+            for v in bits(p & ~rows[pivot]):
+                row, bit = rows[v], 1 << v
+                grow(r | bit, size + 1, p & row, x & row)
+                p ^= bit
+                x |= bit
 
-        grow(0, (1 << n) - 1, 0)
+        grow(0, 0, (1 << n) - 1, 0)
         return tuple(bits(best_mask))
     # greedy: repeatedly extend by the candidate keeping most options open
     best: tuple[int, ...] = ()
@@ -283,7 +288,7 @@ def _balanced_complement_split(f: GraphFacts) -> Optional[tuple[list[int], list[
         i = 0 if weights[0] <= weights[1] else 1
         sides[i] |= mask
         weights[i] += mask.bit_count()
-    return sorted(bits(sides[0])), sorted(bits(sides[1]))
+    return list(bits(sides[0])), list(bits(sides[1]))
 
 
 def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
@@ -337,8 +342,9 @@ def _check_cross_edges(g: Graph, side_a: Sequence[int], side_b: Sequence[int]) -
     """Raise ValueError unless every vertex of side_a is adjacent to all of side_b."""
     bmask = sum(1 << v for v in side_b)
     for v in side_a:
-        if g.rows[v] & bmask != bmask:
-            missing = next(bits(bmask & ~g.rows[v]))
+        lack = bmask & ~g.rows[v]
+        if lack:
+            missing = (lack & -lack).bit_length() - 1
             raise ValueError(f"missing cross edge ({v}, {missing}) for the claimed join")
 
 
@@ -403,7 +409,7 @@ def check_self_join(
                 amask |= comps[i]
             if amask.bit_count() == r:
                 bmask = (1 << n) - 1 - amask
-                candidates.append((sorted(bits(amask)), sorted(bits(bmask))))
+                candidates.append((list(bits(amask)), list(bits(bmask))))
     for side_a, side_b in candidates:
         if len(side_a) != r:
             continue
@@ -863,11 +869,14 @@ _SWEEP = (
 )
 
 CERTIFY_RULES = tuple(name for names, _ in _SWEEP for name in names)
+_ALL_RULES = frozenset(CERTIFY_RULES)
 
 
 def _wanted_rules(rules: Optional[Iterable[str]]) -> frozenset[str]:
     """The rule names to run; raises ValueError naming any unknown ones."""
-    wanted = frozenset(CERTIFY_RULES if rules is None else rules)
+    if rules is None:
+        return _ALL_RULES
+    wanted = frozenset(rules)
     unknown = wanted.difference(CERTIFY_RULES)
     if unknown:
         raise ValueError(
@@ -892,5 +901,7 @@ def certify(g: Graph | GraphFacts, rules: Optional[Iterable[str]] = None) -> lis
     out: list[BoundCertificate] = []
     for names, check in _SWEEP:
         if not wanted.isdisjoint(names):
-            out.extend(cert for cert in check(f) if cert and cert.rule in wanted)
+            for cert in check(f):
+                if cert and cert.rule in wanted:
+                    out.append(cert)
     return out

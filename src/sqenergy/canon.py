@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _row_bits
+from .graphs import Graph, bits
 
 __all__ = [
     "canonical_form",
@@ -95,7 +95,7 @@ def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int
                     continue
                 groups: dict[int, int] = {}
                 get = groups.get
-                for v in _row_bits(cell):
+                for v in bits(cell):
                     r = rows[v]
                     sig = 0
                     for f in fresh:
@@ -158,7 +158,7 @@ def _canonical_search(
             perm = [c.bit_length() - 1 for c in cells]
             for i, v in enumerate(perm):
                 place[v] = 1 << i
-            leaf = [sum(map(bit_of, _row_bits(rows[v]))) for v in perm]
+            leaf = [sum(map(bit_of, bits(rows[v]))) for v in perm]
             if leaf == best_rows:
                 sigma = [0] * n
                 for pi, bi in zip(perm, best_perm):
@@ -187,12 +187,12 @@ def _canonical_search(
         tried = 0
         fixing: list[tuple[int, ...]] = []  # the automorphisms met that fix the prefix
         checked = 0
-        for v in _row_bits(cell):
+        for v in bits(cell):
             if tried:
                 rv = rows[v]
                 cv = rv | 1 << v
                 twin = -1
-                for u in _row_bits(tried):
+                for u in bits(tried):
                     ru = rows[u]
                     if ru == rv or ru | 1 << u == cv:
                         twin = u

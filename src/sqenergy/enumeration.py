@@ -38,7 +38,7 @@ from typing import Iterator
 
 from .canon import _orbit, canonical_form, canonical_pair
 from .families import cycle_graph
-from .graphs import Graph, _row_bits, add_leaf, induced_subgraph
+from .graphs import Graph, add_leaf, bits, induced_subgraph
 
 __all__ = [
     "enumerate_connected",
@@ -154,9 +154,9 @@ def _parent_fine(table: LeafTable, h: int) -> tuple[int, int]:
     rows, degree, _, fine = table
     f = fine.get(h)
     if f is None:
-        near = _row_bits(rows[h])
+        near = tuple(bits(rows[h]))  # read twice; wide masks come as a one-pass iterator
         s1 = sum([degree[u] for u in near])
-        s2 = sum([degree[w] for u in near for w in _row_bits(rows[u])])
+        s2 = sum([degree[w] for u in near for w in bits(rows[u])])
         f = fine[h] = (s1, s2)
     return f
 

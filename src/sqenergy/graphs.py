@@ -65,7 +65,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, u: int) -> Iterator[int]:
+    def neighbors(self, u: int) -> Iterable[int]:
         return bits(self.rows[u])
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -91,25 +91,30 @@ def _unpack_rows(group: Sequence[Graph], n: int) -> np.ndarray:
     return np.unpackbits(table, axis=1, count=n, bitorder="little").reshape(len(group), n, n)
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+def bits(mask: int) -> Iterable[int]:
+    """Indices of set bits, ascending; a negative mask raises ValueError.
+
+    Masks below 2**16 are read off byte tables as a tuple; wider ones are
+    walked lowest bit first.
+    """
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"bit mask must be nonnegative, got {mask}")
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    return _walk_bits(mask)
+
+
+def _walk_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
-_BYTE_BITS = [tuple(bits(b)) for b in range(256)]
+_BYTE_BITS = [tuple(_walk_bits(b)) for b in range(256)]
 _HIGH_BYTE_BITS = [tuple(v + 8 for v in vs) for vs in _BYTE_BITS]
-
-
-def _row_bits(mask: int) -> Iterable[int]:
-    """``bits(mask)``, from byte tables when the mask fits in two bytes."""
-    if mask < 256:
-        return _BYTE_BITS[mask]
-    if mask < 65536:
-        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
-    return bits(mask)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -381,7 +386,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
         label[v] = 1 << i
     get = label.__getitem__
     rows = g.rows
-    return Graph(g.n, tuple([sum(map(get, _row_bits(rows[v]))) for v in perm]))
+    return Graph(g.n, tuple([sum(map(get, bits(rows[v]))) for v in perm]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +421,23 @@ def stats(g: Graph) -> GraphStats:
     graph is bipartite iff no edge lies inside a layer.
     """
     n = g.n
-    m = g.m
+    rows = g.rows
+    degrees = [r.bit_count() for r in rows]
+    m = sum(degrees) // 2
     comps = _layers(g)
     color = [0] * n
     bipartite = True
     for layers in comps:
         for i, layer in enumerate(layers):
             for u in bits(layer):
-                if g.rows[u] & layer:
+                if rows[u] & layer:
                     bipartite = False
                 color[u] = i & 1
     return GraphStats(
         n=n,
         m=m,
         avg_degree=2.0 * m / n if n else 0.0,
-        max_degree=max((r.bit_count() for r in g.rows), default=0),
+        max_degree=max(degrees, default=0),
         connected=len(comps) <= 1,
         bipartite=bipartite,
         bipartition=tuple(color) if bipartite else None,

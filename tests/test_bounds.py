@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from _strategies import graphs
+from conftest import random_connected
 import sqenergy.bounds as bounds_module
 import sqenergy.spectral as spectral_module
 from sqenergy.bounds import (
@@ -43,7 +47,16 @@ from sqenergy.families import (
     path_graph,
     star_graph,
 )
-from sqenergy.graphs import Graph, add_leaf, from_edges, kronecker, move_neighbors, stats
+from sqenergy.graphs import (
+    Graph,
+    add_leaf,
+    from_edges,
+    from_graph6,
+    kronecker,
+    move_neighbors,
+    stats,
+    to_graph6,
+)
 from sqenergy.partitions import parse_partition
 from sqenergy.spectral import Spectrum, eigenvalues, graph_profile
 
@@ -96,6 +109,47 @@ class TestMaxClique:
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
                 assert g.has_edge(u, v)
+
+    # sha256 of "graph6 clique" lines, sorted, for the returned clique itself
+    # (not only its size): a pivot that breaks ties differently returns
+    # another clique of the same size on some of these graphs
+    CLIQUE_SHA256 = {
+        "connected8": "29f54b76184e29969a67e8f21f2cbf0a8a3854f8c56020732416e317f8163b97",
+        "connected_upto7": "5288e197d84ef7c70dd0c9fccc2d739a2883488d34862aafaa2c31e6c57c321f",
+        "gnp_9_to_12": "2ef9a054e9a317247f4b341fc222cb91ff03673732fa7a07f29079f9c054ea6e",
+        "greedy_13_to_20": "304e535e518be855c663aba6640d6e8d78ee485b5b91dba8850758ae2bad0354",
+    }
+
+    @staticmethod
+    def clique_digest(graphs) -> str:
+        lines = sorted(f"{to_graph6(g)} {','.join(map(str, max_clique(g)))}\n" for g in graphs)
+        return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+    @staticmethod
+    def seeded(orders, densities=(0.3, 0.5, 0.7, 0.9), per=12):
+        rng = random.Random(20)
+        return [random_connected(rng, n, p) for n in orders for p in densities for _ in range(per)]
+
+    def test_clique_pinned_on_connected8(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"
+        corpus = [from_graph6(line) for line in path.read_text().split()]
+        assert self.clique_digest(corpus) == self.CLIQUE_SHA256["connected8"]
+
+    def test_clique_pinned_on_connected_upto7(self, connected_by_order):
+        every = [g for gs in connected_by_order.values() for g in gs]
+        assert self.clique_digest(every) == self.CLIQUE_SHA256["connected_upto7"]
+
+    def test_clique_pinned_on_seeded_exact_orders(self):
+        assert self.clique_digest(self.seeded(range(9, 13))) == self.CLIQUE_SHA256["gnp_9_to_12"]
+
+    def test_clique_pinned_on_greedy_orders(self):
+        assert self.clique_digest(self.seeded(range(13, 21), per=3)) == self.CLIQUE_SHA256["greedy_13_to_20"]
+
+    def test_exact_size_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in self.seeded(range(2, 13), per=4):
+            ref = nx.Graph(list(g.edges()))
+            assert len(max_clique(g)) == max(len(c) for c in nx.find_cliques(ref))
 
 
 class TestSpanningStructures:

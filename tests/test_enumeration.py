@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,19 @@ class TestUnicyclic:
                 for v in range(k):
                     expected = tied_leaves_from_rows(add_leaf(parent, v).rows)
                     assert sqenergy.enumeration._tied_leaves(table, v) == expected
+
+    def test_leaf_table_matches_the_child_rows_at_the_order_cap(self):
+        # order-17 parents have rows wider than 16 bits: bits() gives those as a one-pass iterator
+        rng = random.Random(17)
+        for _ in range(20):
+            k = rng.choice([3, 5, 7])
+            parent = from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+            while parent.n < UNICYCLIC_MAX_N - 1:
+                parent = add_leaf(parent, rng.randrange(parent.n))
+            table = sqenergy.enumeration._leaf_table(parent.rows)
+            for v in range(parent.n):
+                expected = tied_leaves_from_rows(add_leaf(parent, v).rows)
+                assert sqenergy.enumeration._tied_leaves(table, v) == expected
 
     def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
         # labelling every pendant child takes 18382 searches at order 12; a leaf

@@ -78,6 +78,24 @@ class TestGraphBasics:
         assert list(bits(0)) == []
         assert list(bits(0b101101)) == [0, 2, 3, 5]
 
+    @staticmethod
+    def reference_bits(mask: int) -> list[int]:
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def test_bits_on_both_sides_of_the_table_boundaries(self):
+        # byte tables below 2**8 and 2**16, the bit walk from 2**16 up
+        rnd = random.Random(16)
+        masks = [b + d for b in (1 << 8, 1 << 16) for d in range(-3, 4)]
+        masks += [(1 << 8) - 1, (1 << 16) - 1, (1 << 16) | 1, (1 << 200) - 1, 1 << 199]
+        masks += [rnd.getrandbits(200) for _ in range(50)] + [rnd.getrandbits(16) for _ in range(50)]
+        for mask in masks:
+            assert list(bits(mask)) == self.reference_bits(mask), mask
+
+    @pytest.mark.parametrize("mask", [-1, -3, -(1 << 8), -(1 << 16) - 5, -(1 << 200)])
+    def test_bits_rejects_a_negative_mask_before_iterating(self, mask):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bits(mask)
+
     def test_from_edges_rejects_bad_input(self):
         with pytest.raises(ValueError, match="out of range"):
             from_edges(3, [(0, 3)])
@@ -405,6 +423,22 @@ class TestStats:
                 assert st_.bipartition == tuple(color)
             else:
                 assert st_.bipartition is None
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 40, 70])
+    def test_stats_and_components_match_networkx_across_the_table_boundary(self, n):
+        # rows of vertices 16 and up are wider than the byte tables
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        tree = _shuffled(rng, n, [(v, rng.randrange(v)) for v in range(1, n)])
+        samples = [_seeded_graph(n, p, seed=100 * n + i) for i, p in enumerate([0.6 / n, 1.2 / n, 2.5 / n, 0.3])]
+        for g in [tree, *samples]:
+            ref = nx.Graph(list(g.edges()))
+            ref.add_nodes_from(range(n))
+            st_ = stats(g)
+            assert (st_.m, st_.max_degree) == (ref.number_of_edges(), max(d for _, d in ref.degree))
+            assert (st_.connected, st_.bipartite) == (nx.is_connected(ref), nx.is_bipartite(ref))
+            comps = [sum(1 << v for v in c) for c in nx.connected_components(ref)]
+            assert component_masks(g) == sorted(comps, key=lambda c: c & -c)  # by least vertex
 
 
 class TestCactus:
