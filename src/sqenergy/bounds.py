@@ -602,16 +602,15 @@ def induced_bipartite_bound(
         if dels and not (0 <= dels[0] and dels[-1] < g.n):
             raise ValueError(f"vertex set {dels} out of range for n={g.n}")
     keep = [v for v in range(g.n) if v not in set(dels)]
-    h = induced_subgraph(g, keep)
-    if not stats(h).bipartite:
+    hs = stats(induced_subgraph(g, keep))
+    if not hs.bipartite:
         raise ValueError(f"deleting {dels} does not leave a bipartite graph")
-    bound = h.m
-    coarse = g.m - len(dels) * st.max_degree
+    coarse = st.m - len(dels) * st.max_degree
     return _certificate(
         "induced_bipartite",
         "both",
-        bound,
-        {"deleted": list(dels), "remaining_edges": h.m, "coarse_bound": coarse},
+        hs.m,
+        {"deleted": list(dels), "remaining_edges": hs.m, "coarse_bound": coarse},
         g.n,
     )
 
@@ -689,33 +688,29 @@ def majorization_two_positive(g: Graph | GraphFacts) -> Optional[BoundCertificat
     not apply.
     """
     f = _facts(g)
-    g = f.graph
-    if not f.stats.connected:
+    st = f.stats
+    if not st.connected:
         return None
-    spec = f.spectrum
     inert = f.inertia
     if inert.positive != 2:
         return None
-    nu = inert.negative
-    mu = tuple(spec.values[:2]) + (0.0,) * (nu - 2) if nu >= 2 else tuple(spec.values[:nu])
-    theta = tuple(abs(t) for t in spec.values[::-1][:nu])
-    prefix_ok = []
-    run_mu, run_theta = 0.0, 0.0
-    for k in range(nu - 1):
-        run_mu += mu[k]
-        run_theta += theta[k]
-        prefix_ok.append(run_mu >= run_theta - CONCLUSIVE_TOL)
-    total_mu = sum(mu)
-    total_theta = sum(theta)
-    totals_equal = abs(total_mu - total_theta) <= 1e-9 * max(1.0, total_theta)
-    if not all(prefix_ok) or not totals_equal:
-        raise ArithmeticError("majorization chain failed numerically on a two-positive graph")
+    values, nu = f.spectrum.values, inert.negative
+    run_mu = run_theta = 0.0
+    for k in range(nu):
+        run_mu += values[k] if k < 2 else 0.0
+        run_theta += abs(values[-1 - k])
+        if k < nu - 1:
+            held = run_mu >= run_theta - CONCLUSIVE_TOL
+        else:
+            held = abs(run_mu - run_theta) <= 1e-9 * max(1.0, run_theta)
+        if not held:
+            raise ArithmeticError("majorization chain failed numerically on a two-positive graph")
     return _certificate(
         "two_positive",
         "s_plus",
-        g.n - 1,
-        {"positive_count": 2, "edge_count": g.m},
-        g.n,
+        st.n - 1,
+        {"positive_count": 2, "edge_count": st.m},
+        st.n,
     )
 
 
@@ -843,14 +838,14 @@ def h3n_quotient_analysis(n: int) -> H3nAnalysis:
 
 def _energy_certificates(f: GraphFacts) -> list[BoundCertificate]:
     pb = energy_count_bound(f)
-    certs = [
+    return [
         _certificate("energy", target, bound, {key: bound}, f.graph.n)
         for target, bound, key in (
             ("s_plus", pb.s_plus_lower, "energy_sq_over_4pi"),
             ("s_minus", pb.s_minus_lower, "energy_sq_over_4nu"),
         )
+        if _meets_floor(bound, f.graph.n)
     ]
-    return [c for c in certs if c.conclusive]
 
 
 # The certify sweep, in output order: the rule names a check can emit,

@@ -109,16 +109,21 @@ def _spectrum(values: list[float]) -> Spectrum:
 
 def energy_profile(spectrum: Spectrum) -> EnergyProfile:
     """Square energies, energy and inertia; the one place eigenvalues are
-    split by sign at the spectrum's zero tolerance."""
+    split by sign at the spectrum's zero tolerance.  One left-to-right pass
+    and no builtin ``sum`` (compensated from Python 3.12 on), so the bits
+    do not depend on the interpreter."""
     tol = spectrum.zero_tol
-    pos = [v for v in spectrum.values if v > tol]
-    neg = [v for v in spectrum.values if v < -tol]
-    s_plus = float(sum(v * v for v in pos))
-    s_minus = float(sum(v * v for v in neg))
-    energy = float(sum(abs(v) for v in spectrum.values))
-    zero = len(spectrum.values) - len(pos) - len(neg)
-    inertia = Inertia(len(pos), zero, len(neg))
-    return EnergyProfile(s_plus, s_minus, energy, inertia)
+    s_plus = s_minus = energy = 0.0
+    pos = neg = 0
+    for v in spectrum.values:
+        energy += abs(v)
+        if v > tol:
+            s_plus += v * v
+            pos += 1
+        elif v < -tol:
+            s_minus += v * v
+            neg += 1
+    return EnergyProfile(s_plus, s_minus, energy, Inertia(pos, len(spectrum.values) - pos - neg, neg))
 
 
 def graph_profile(g: Graph) -> EnergyProfile:

@@ -83,7 +83,7 @@ def _record(g: Graph) -> SurveyRecord:
     return SurveyRecord(
         graph6=to_graph6(g),
         n=g.n,
-        m=g.m,
+        m=st.m,
         s_plus=prof.s_plus,
         s_minus=prof.s_minus,
         positive=prof.inertia.positive,

@@ -458,6 +458,13 @@ class TestMajorization:
             with pytest.raises(ArithmeticError, match="majorization chain failed numerically"):
                 rule(f)
 
+    def test_unequal_totals_raise(self):
+        # the proper prefix holds (3 >= 2), but the totals 4 and 2.5 differ
+        f = GraphFacts(path_graph(4))
+        f.spectrum = Spectrum((3.0, 1.0, -0.5, -2.0), 1e-9)
+        with pytest.raises(ArithmeticError, match="majorization chain failed numerically"):
+            majorization_two_positive(f)
+
 
 class TestEnergyCount:
     def test_triangle_values_are_tight(self):

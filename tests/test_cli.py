@@ -790,6 +790,12 @@ class TestGolden:
         pinned = paths["RECORDS"] if "RECORDS" in argv else out
         assert hashlib.sha256(pinned.read_bytes()).hexdigest() == digest
 
+    # the same bytes when every sqenergy module sums as Python 3.12 does;
+    # the JSON outputs print energy bounds and survey minima unrounded
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+    def test_output_digest_under_python312_sum(self, case, golden_inputs, tmp_path, python312_sum):
+        self.test_output_digest(case, golden_inputs, tmp_path)
+
     def test_edgeless_energies_json(self, capsys):
         code, out, _ = run(capsys, "energies", "--json", "--g6", "?", "--g6", "@", "--g6", "A?")
         assert code == 0 and out == [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import compensated_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -157,6 +158,79 @@ class TestEnergyProfile:
             return
         prof = graph_profile(g)
         assert prof.s_plus == pytest.approx(prof.s_minus, abs=1e-8)
+
+
+def _left_to_right_sum(terms):
+    """The builtin ``sum`` as Python 3.11 computes it: ``0 + t1 + t2 + ...``."""
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _reference_profile(spectrum: Spectrum) -> tuple:
+    """energy_profile's formula as filtered lists and Python 3.11 sums, with
+    every float as its exact hex string."""
+    tol = spectrum.zero_tol
+    pos = [v for v in spectrum.values if v > tol]
+    neg = [v for v in spectrum.values if v < -tol]
+    sums = (
+        float(_left_to_right_sum(v * v for v in pos)),
+        float(_left_to_right_sum(v * v for v in neg)),
+        float(_left_to_right_sum(abs(v) for v in spectrum.values)),
+    )
+    zero = len(spectrum.values) - len(pos) - len(neg)
+    return tuple(x.hex() for x in sums) + (len(pos), zero, len(neg))
+
+
+def _profile_bits(spectrum: Spectrum) -> tuple:
+    p = energy_profile(spectrum)
+    assert all(type(x) is float for x in (p.s_plus, p.s_minus, p.energy))
+    sums = (p.s_plus.hex(), p.s_minus.hex(), p.energy.hex())
+    return sums + (p.inertia.positive, p.inertia.zero, p.inertia.negative)
+
+
+@pytest.fixture(scope="module")
+def connected8_spectra() -> list[Spectrum]:
+    corpus = [from_graph6(line) for line in CONNECTED8.read_text(encoding="ascii").split()]
+    return [spec for spec, _ in spectra_and_ranks(corpus)]
+
+
+def _seeded_spectra() -> list[Spectrum]:
+    """Orders 0-40 mixing ordinary values with exact and signed zeros and
+    values on both sides of the zero tolerance."""
+    rng = random.Random(20261019)
+    pool = (0.0, -0.0, 1e-12, -1e-12, 5e-9, -5e-9)
+    return [
+        spectrum_from_values(
+            rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-8.0, 8.0)
+            for _ in range(rng.randint(0, 40))
+        )
+        for _ in range(2000)
+    ]
+
+
+class TestProfileSummation:
+    """energy_profile adds in spectrum order, bit for bit as the
+    list-and-sum formula did on Python 3.11, whatever ``sum`` does."""
+
+    def test_connected8_bit_for_bit(self, connected8_spectra):
+        assert len(connected8_spectra) == 11117
+        for spec in connected8_spectra:
+            assert _profile_bits(spec) == _reference_profile(spec), spec
+
+    def test_seeded_spectra_bit_for_bit(self):
+        for spec in _seeded_spectra():
+            assert _profile_bits(spec) == _reference_profile(spec), spec
+
+    def test_order_zero_and_all_zero(self):
+        assert _profile_bits(spectrum_from_values([])) == ("0x0.0p+0",) * 3 + (0, 0, 0)
+        assert _profile_bits(spectrum_from_values([0.0] * 7)) == ("0x0.0p+0",) * 3 + (0, 7, 0)
+
+    def test_connected8_unchanged_under_python312_sum(self, connected8_spectra, python312_sum):
+        assert compensated_sum([0.1] * 10) == 1.0 != _left_to_right_sum([0.1] * 10)
+        for spec in connected8_spectra:
+            assert _profile_bits(spec) == _reference_profile(spec), spec
 
 
 class TestPerron:
