@@ -257,7 +257,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
                 x |= bit
 
         grow(0, 0, (1 << n) - 1, 0)
-        return tuple(bits(best_mask))
+        return bits(best_mask)
     # greedy: repeatedly extend by the candidate keeping most options open
     best: tuple[int, ...] = ()
     order = sorted(range(n), key=lambda u: -rows[u].bit_count())
@@ -269,7 +269,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             mask |= 1 << v
             cand &= rows[v]
         if mask.bit_count() > len(best):
-            best = tuple(bits(mask))
+            best = bits(mask)
     return best
 
 
@@ -654,10 +654,7 @@ def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[BoundCertifica
     n, st = f.graph.n, f.stats
     if not st.connected or st.m != n:
         return None
-    prof = f.cactus
-    if len(prof.cycles) != 1:
-        return None
-    length = len(prof.cycles[0])
+    length = len(f.cactus.cycles[0])  # connected with m = n: exactly one cycle
     if length % 2 == 0:
         return None
     m = (length - 1) // 2
@@ -733,8 +730,9 @@ def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
 
     With r = rank(A), the nonzero eigenvalues have product at least 1 in
     absolute value, which yields s_plus >= r^2/(4 pi) whenever
-    pi <= r^2/(4(n-1)) (and symmetrically for s_minus).  One certificate
-    is returned covering whichever targets fire.
+    pi <= r^2/(4(n-1)) (and symmetrically for s_minus).  At most one
+    target fires: both would need r = pi + nu <= r^2/(2(n-1)), that is
+    2(n-1) <= r <= n as r > 0, which no order n >= 3 allows.
     """
     f = _facts(g)
     g = f.graph
@@ -750,9 +748,6 @@ def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     if not plus_fires and not minus_fires:
         return None
     witness = {"rank": r, "positive": inert.positive, "negative": inert.negative}
-    if plus_fires and minus_fires:
-        bound = min(r * r / (4.0 * inert.positive), r * r / (4.0 * inert.negative))
-        return _certificate("rank", "both", bound, witness, g.n)
     if plus_fires:
         return _certificate("rank", "s_plus", r * r / (4.0 * inert.positive), witness, g.n)
     return _certificate("rank", "s_minus", r * r / (4.0 * inert.negative), witness, g.n)

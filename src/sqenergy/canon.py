@@ -17,8 +17,8 @@ automorphism group, not always all of it; ``canonical_pair`` hands them
 out for callers that only use them to skip equivalent work.
 
 Inside the search a cell is a bitmask of its vertices, so a fresh
-cell is its own count mask, and splitting a cell by adjacency to one
-vertex is a single ``&``.  Each leaf is kept as the rows of the graph
+cell is its own count mask: a vertex's count into it is one ``&`` and a
+bit count.  Each leaf is kept as the rows of the graph
 it labels; leaves compare row by row, so the winning leaf's rows are
 the canonical graph and the key is read off them, without a relabelling
 pass.  Colour refinement in ``partitions`` runs on the same kernel.
@@ -49,67 +49,55 @@ def _refine(rows: Sequence[int], cells: list[int], fresh: list[int]) -> list[int
     counts into the fresh cells orders them as the full vectors would.  A
     vertex's counts are packed into one integer, the first fresh cell's
     count most significant, and sub-cells are ordered by it; a two-vertex
-    cell compares its two count vectors up to the first difference.  When
-    the only fresh cell is one vertex w, a count is adjacency to w, and a
-    cell splits into the rest, then ``cell & rows[w]``.  After a split,
-    the sub-cells are fresh except the last of each split cell, whose
-    count is the old cell's count minus the others'.  A discrete
+    cell compares its two count vectors up to the first difference.  After
+    a split, the sub-cells are fresh except the last of each split cell,
+    whose count is the old cell's count minus the others'.  A discrete
     partition is returned at once.
     """
     width = len(rows).bit_length()
     while True:
         new_cells: list[int] = []
         next_fresh: list[int] = []
-        if len(fresh) == 1 and fresh[0] & (fresh[0] - 1) == 0:
-            r = rows[fresh[0].bit_length() - 1]
-            for cell in cells:
-                hit = cell & r
-                if hit and hit != cell:
-                    new_cells += (cell ^ hit, hit)
-                    next_fresh.append(cell ^ hit)
+        for cell in cells:
+            high = cell & (cell - 1)
+            if not high:
+                new_cells.append(cell)
+                continue
+            if not high & (high - 1):
+                # two vertices: the first count that differs orders them
+                low = cell ^ high
+                ra = rows[low.bit_length() - 1]
+                rb = rows[high.bit_length() - 1]
+                for f in fresh:
+                    d = (ra & f).bit_count() - (rb & f).bit_count()
+                    if d:
+                        break
+                if not d:
+                    new_cells.append(cell)
+                elif d < 0:
+                    new_cells += (low, high)
+                    next_fresh.append(low)
                 else:
-                    new_cells.append(cell)
-        else:
-            for cell in cells:
-                high = cell & (cell - 1)
-                if not high:
-                    new_cells.append(cell)
-                    continue
-                if not high & (high - 1):
-                    # two vertices: the first count that differs orders them
-                    low = cell ^ high
-                    ra = rows[low.bit_length() - 1]
-                    rb = rows[high.bit_length() - 1]
-                    for f in fresh:
-                        d = (ra & f).bit_count() - (rb & f).bit_count()
-                        if d:
-                            break
-                    if not d:
-                        new_cells.append(cell)
-                    elif d < 0:
-                        new_cells += (low, high)
-                        next_fresh.append(low)
-                    else:
-                        new_cells += (high, low)
-                        next_fresh.append(high)
-                    continue
-                groups: dict[int, int] = {}
-                get = groups.get
-                for v in bits(cell):
-                    r = rows[v]
-                    sig = 0
-                    for f in fresh:
-                        sig = sig << width | (r & f).bit_count()
-                    groups[sig] = get(sig, 0) | 1 << v
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                    continue
-                order = sorted(groups)
-                last = groups[order.pop()]
-                for sig in order:
-                    new_cells.append(groups[sig])
-                    next_fresh.append(groups[sig])
-                new_cells.append(last)
+                    new_cells += (high, low)
+                    next_fresh.append(high)
+                continue
+            groups: dict[int, int] = {}
+            get = groups.get
+            for v in bits(cell):
+                r = rows[v]
+                sig = 0
+                for f in fresh:
+                    sig = sig << width | (r & f).bit_count()
+                groups[sig] = get(sig, 0) | 1 << v
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            order = sorted(groups)
+            last = groups[order.pop()]
+            for sig in order:
+                new_cells.append(groups[sig])
+                next_fresh.append(groups[sig])
+            new_cells.append(last)
         if not next_fresh or len(new_cells) == len(rows):
             return new_cells
         cells = new_cells

@@ -154,7 +154,7 @@ def _parent_fine(table: LeafTable, h: int) -> tuple[int, int]:
     rows, degree, _, fine = table
     f = fine.get(h)
     if f is None:
-        near = tuple(bits(rows[h]))  # read twice; wide masks come as a one-pass iterator
+        near = bits(rows[h])
         s1 = sum([degree[u] for u in near])
         s2 = sum([degree[w] for u in near for w in bits(rows[u])])
         f = fine[h] = (s1, s2)

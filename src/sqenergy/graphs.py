@@ -65,7 +65,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, u: int) -> Iterable[int]:
+    def neighbors(self, u: int) -> tuple[int, ...]:
         return bits(self.rows[u])
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -91,11 +91,11 @@ def _unpack_rows(group: Sequence[Graph], n: int) -> np.ndarray:
     return np.unpackbits(table, axis=1, count=n, bitorder="little").reshape(len(group), n, n)
 
 
-def bits(mask: int) -> Iterable[int]:
-    """Indices of set bits, ascending; a negative mask raises ValueError.
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of set bits as an ascending tuple; a negative mask raises ValueError.
 
-    Masks below 2**16 are read off byte tables as a tuple; wider ones are
-    walked lowest bit first.
+    Masks below 2**16 are read off byte tables; wider ones are walked
+    lowest bit first.
     """
     if mask < 256:
         if mask < 0:
@@ -103,7 +103,7 @@ def bits(mask: int) -> Iterable[int]:
         return _BYTE_BITS[mask]
     if mask < 65536:
         return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
-    return _walk_bits(mask)
+    return tuple(_walk_bits(mask))
 
 
 def _walk_bits(mask: int) -> Iterator[int]:

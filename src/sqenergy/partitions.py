@@ -142,7 +142,7 @@ def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
     if seed.n != g.n:
         raise ValueError(f"partition covers {seed.n} vertices, graph has {g.n}")
     masks = [sum(1 << v for v in block) for block in seed.blocks]
-    blocks = [tuple(bits(m)) for m in _refine(g.rows, masks, masks)]
+    blocks = [bits(m) for m in _refine(g.rows, masks, masks)]
     return Partition(tuple(sorted(blocks, key=lambda b: (len(b), b[0]))))
 
 

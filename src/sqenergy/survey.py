@@ -104,16 +104,12 @@ class _MinTracker:
     def offer(self, value: float, tag: str) -> None:
         if value < self.value:
             self.value = value
+            self.near = [p for p in self.near if p[0] <= value + TIE_TOL]
         if value <= self.value + TIE_TOL:
             self.near.append((value, tag))
-            if len(self.near) > 64:
-                self.near = [p for p in self.near if p[0] <= self.value + TIE_TOL]
 
     def result(self) -> tuple[float, str, tuple[str, ...]]:
-        ties = sorted(
-            (p for p in self.near if p[0] <= self.value + TIE_TOL),
-            key=lambda p: (p[0], p[1]),
-        )
+        ties = sorted(self.near)
         return self.value, ties[0][1] if ties else "", tuple(t for _, t in ties)
 
 

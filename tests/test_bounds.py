@@ -58,7 +58,7 @@ from sqenergy.graphs import (
     to_graph6,
 )
 from sqenergy.partitions import parse_partition
-from sqenergy.spectral import Spectrum, eigenvalues, graph_profile
+from sqenergy.spectral import Inertia, Spectrum, eigenvalues, graph_profile
 
 
 def two_triangles() -> Graph:
@@ -495,6 +495,16 @@ class TestRankBound:
 
     def test_star_does_not_fire(self):
         assert rank_bound(star_graph(5)) is None
+
+    def test_few_negative_eigenvalues_target_s_minus(self):
+        # no rank certificate on the order-8 corpus targets s_minus, so the
+        # inertia is assigned: r = 3, and nu = 1 <= 9/8 < pi = 2
+        facts = GraphFacts(path_graph(3))
+        facts.inertia = Inertia(2, 0, 1)
+        cert = rank_bound(facts)
+        assert cert is not None and cert.target == "s_minus"
+        assert cert.bound_value == pytest.approx(2.25) and cert.conclusive
+        assert cert.witness == {"rank": 3, "positive": 2, "negative": 1}
 
     def test_order_and_connectivity_guards(self):
         with pytest.raises(ValueError, match="order"):

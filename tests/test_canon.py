@@ -150,6 +150,25 @@ class TestCanonicalForm:
         want = [tuple(sorted(c)) for c in refine_by_full_vectors(g.rows, cells)]
         assert [tuple(bits(m)) for m in _refine(g.rows, masks, masks)] == want
 
+    def test_refine_after_individualizing_one_vertex(self):
+        # as in the search: an equitable partition, one vertex of its first
+        # non-singleton cell put in a cell of its own just before the rest,
+        # and that one vertex the only fresh cell
+        checked = 0
+        for g in itertools.chain(symmetric_graphs(), random_graphs()):
+            cells = refine_by_full_vectors(g.rows, [tuple(range(g.n))])
+            while len(cells) < g.n:
+                target = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+                for v in cells[target]:
+                    rest = tuple(w for w in cells[target] if w != v)
+                    split = cells[:target] + [(v,), rest] + cells[target + 1 :]
+                    masks = [sum(1 << w for w in cell) for cell in split]
+                    want = refine_by_full_vectors(g.rows, split)
+                    assert [tuple(bits(m)) for m in _refine(g.rows, masks, [1 << v])] == want
+                    checked += 1
+                cells = want
+        assert checked > 1000
+
     def test_twin_swaps_are_reported_as_automorphisms(self):
         # the five leaves of a star are twins, searched once and swapped
         _, canon, _, generators = canonical_pair(star_graph(6), automorphisms=True)

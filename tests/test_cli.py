@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -20,6 +21,9 @@ from sqenergy.cli import SURVEY_CSV_HEADER, main
 from sqenergy.enumeration import enumerate_connected
 from sqenergy.graphs import from_graph6, to_graph6
 from sqenergy.survey import certify_corpus, survey
+
+# the package's ``survey`` attribute is the function, not this module
+survey_module = importlib.import_module("sqenergy.survey")
 
 TRIANGLE = "Bw"  # K_3
 K4 = "C~"
@@ -276,6 +280,16 @@ class TestScan:
     def test_empty_range(self, capsys):
         code, _, err = run(capsys, "scan", "--n", "5-4")
         assert code == 2 and "empty order range" in err
+
+    def test_bad_range_end(self, capsys):
+        code, out, err = run(capsys, "scan", "--n", "2-x")
+        assert (code, out) == (2, []) and "bad order range '2-x'" in err
+
+    def test_rounding_flags_are_notes_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(survey_module, "_rounding_flag", lambda label, value: f"{label} flagged")
+        code, out, err = run(capsys, "scan", "--n", "4")
+        assert code == 0 and out[0] == SURVEY_CSV_HEADER and len(out) == 2
+        assert err == "sqenergy: note: min_s_plus flagged\nsqenergy: note: min_s_minus flagged\n"
 
     def test_order_beyond_cap_exits_one(self, capsys):
         code, _, err = run(capsys, "scan", "--n", "11")

@@ -150,7 +150,7 @@ class TestUnicyclic:
                     assert sqenergy.enumeration._tied_leaves(table, v) == expected
 
     def test_leaf_table_matches_the_child_rows_at_the_order_cap(self):
-        # order-17 parents have rows wider than 16 bits: bits() gives those as a one-pass iterator
+        # order-17 parents have rows wider than 16 bits, which bits() walks instead of reading tables
         rng = random.Random(17)
         for _ in range(20):
             k = rng.choice([3, 5, 7])

@@ -91,6 +91,13 @@ class TestGraphBasics:
         for mask in masks:
             assert list(bits(mask)) == self.reference_bits(mask), mask
 
+    def test_bits_is_a_tuple_at_every_width(self):
+        # a tuple can be read twice, whatever the width of the mask
+        for mask in (0, 5, (1 << 8) + 3, (1 << 16) + 3, (1 << 200) - 1):
+            got = bits(mask)
+            assert type(got) is tuple and got == tuple(self.reference_bits(mask))
+        assert path_graph(70).neighbors(60) == (59, 61)
+
     @pytest.mark.parametrize("mask", [-1, -3, -(1 << 8), -(1 << 16) - 5, -(1 << 200)])
     def test_bits_rejects_a_negative_mask_before_iterating(self, mask):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -105,6 +105,26 @@ class TestRoundingFlag:
         assert _rounding_flag("x", 4.763932) is None
         assert _rounding_flag("x", 3.0) is None
 
+    def test_a_flag_reaches_the_report(self, monkeypatch):
+        def flag(label, value):
+            return f"{label} flagged" if label == "min_s_minus" else None
+
+        monkeypatch.setattr(survey_module, "_rounding_flag", flag)
+        assert survey(enumerate_connected(4)).rounding_flags == ("min_s_minus flagged",)
+
+
+class TestMinTracker:
+    def test_a_lower_minimum_after_many_ties_keeps_only_its_own_band(self):
+        tracker = survey_module._MinTracker()
+        for i in range(70):
+            tracker.offer(5.0, f"a{i:02d}")
+        assert tracker.result() == (5.0, "a00", tuple(f"a{i:02d}" for i in range(70)))
+        tracker.offer(4.0, "z")
+        tracker.offer(4.0 + 1e-10, "y")
+        tracker.offer(4.0 + 1e-8, "x")  # outside the tie band
+        tracker.offer(4.0, "w")
+        assert tracker.result() == (4.0, "w", ("w", "z", "y"))
+
 
 @pytest.fixture(scope="module")
 def small_corpus():
