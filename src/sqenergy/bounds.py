@@ -214,7 +214,7 @@ def check_avg_degree(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     if not f.stats.connected:
         raise ValueError("average degree bound assumes a connected graph")
     n, m = f.stats.n, f.stats.m
-    if 4 * m * m < n * n * (n - 1):
+    if n == 0 or 4 * m * m < n * n * (n - 1):
         return None
     dbar = 2.0 * m / n
     return _certificate("avg_degree", "s_plus", dbar * dbar, {"avg_degree": dbar}, n)
@@ -652,7 +652,7 @@ def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[BoundCertifica
     """
     f = _facts(g)
     n, st = f.graph.n, f.stats
-    if not st.connected or st.m != n:
+    if not st.connected or st.m != n or n < 3:
         return None
     length = len(f.cactus.cycles[0])  # connected with m = n: exactly one cycle
     if length % 2 == 0:

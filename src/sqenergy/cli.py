@@ -84,19 +84,17 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     The file-or-``--g6`` conflict and a missing input file raise here,
     before the caller writes anything.
     """
-    inline = getattr(args, "g6", None)
-    path = getattr(args, "input", None)
-    if inline and path:
+    if args.g6 and args.input:
         raise UsageError("give an input file or --g6 strings, not both")
-    if inline:
+    if args.g6:
         # each string is one graph, decoded as a file line is ("line k" is
         # the k-th string); a blank one is an error, where a file skips it
-        for k, text in enumerate(inline, start=1):
+        for k, text in enumerate(args.g6, start=1):
             if not text.strip():
                 raise Graph6Error(f"--g6, line {k}: blank graph6 string")
-        return read_graph6_lines(inline, "--g6")
-    if path:
-        return _decode_file(open(path, "r", encoding="ascii"), path)
+        return read_graph6_lines(args.g6, "--g6")
+    if args.input:
+        return _decode_file(open(args.input, "r", encoding="ascii"), args.input)
     return read_graph6_lines(sys.stdin, "<stdin>")
 
 
@@ -105,38 +103,6 @@ def _single_graph(args: argparse.Namespace) -> tuple[str, Graph]:
     if len(graphs) != 1:
         raise ValueError(f"expected exactly one graph, got {len(graphs)}")
     return graphs[0]
-
-
-def _add_input_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "input",
-        nargs="?",
-        help="graph6 file, one graph per line (standard input when omitted)",
-    )
-    p.add_argument(
-        "--g6",
-        action="append",
-        metavar="G6",
-        help="inline graph6 string (repeatable)",
-    )
-
-
-def _add_output_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", metavar="PATH", help="write data here instead of stdout")
-
-
-def _add_survey_arguments(p: argparse.ArgumentParser) -> None:
-    """The arguments ``scan`` and ``unicyclic-min`` share."""
-    p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes, from 1 to the CPU count (default: 1)",
-    )
-    p.add_argument("--json", action="store_true", help="JSON report per order")
-    p.add_argument("--records", metavar="PATH", help="also stream per-graph JSON records here")
-    _add_output_argument(p)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -369,57 +335,79 @@ def _cmd_m0_curve(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the shared arguments, each declared once: every subcommand takes -o,
+    # all but ``family`` take --json, and most of those read graphs or orders
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", metavar="PATH", help="write data here instead of stdout")
+    with_json = argparse.ArgumentParser(add_help=False, parents=[output])
+    with_json.add_argument(
+        "--json", action="store_true", help="one JSON object per line instead of CSV or text"
+    )
+    graphs = argparse.ArgumentParser(add_help=False, parents=[with_json])
+    graphs.add_argument(
+        "input",
+        nargs="?",
+        help="graph6 file, one graph per line (standard input when omitted)",
+    )
+    graphs.add_argument(
+        "--g6",
+        action="append",
+        metavar="G6",
+        help="inline graph6 string (repeatable)",
+    )
+    orders = argparse.ArgumentParser(add_help=False, parents=[with_json])
+    orders.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
+    surveys = argparse.ArgumentParser(add_help=False, parents=[orders])
+    surveys.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes, from 1 to the CPU count (default: 1)",
+    )
+    surveys.add_argument(
+        "--records", metavar="PATH", help="also stream per-graph JSON records here"
+    )
+
     parser = argparse.ArgumentParser(
         prog="sqenergy",
         description="Square-energy workbench: energies, bound certificates, scans.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
-    p = sub.add_parser("energies", help="square energies and inertia per input graph")
-    _add_input_arguments(p)
-    _add_output_argument(p)
-    p.add_argument("--json", action="store_true", help="JSON records instead of CSV")
-    p.set_defaults(func=_cmd_energies)
+    def command(name, parent, help, func, **defaults):
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("certify", help="run lower-bound certificate rules per graph")
-    _add_input_arguments(p)
-    _add_output_argument(p)
-    p.add_argument("--json", action="store_true", help="JSON records instead of text")
+    command("energies", graphs, "square energies and inertia per input graph", _cmd_energies)
+    p = command("certify", graphs, "run lower-bound certificate rules per graph", _cmd_certify)
     p.add_argument(
         "--rules",
         metavar="R1,R2",
         help="comma-separated rule subset (default: all rules)",
     )
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("scan", help="survey all connected graphs of given order(s)")
-    _add_survey_arguments(p)
+    p = command(
+        "scan",
+        surveys,
+        "survey all connected graphs of given order(s)",
+        _cmd_survey,
+        check_order=_check_connected_order,
+        enumerate=enumerate_connected,
+    )
     p.add_argument("--table1", action="store_true", help="counts-only columns")
-    p.set_defaults(
-        func=_cmd_survey, check_order=_check_connected_order, enumerate=enumerate_connected
-    )
-
-    p = sub.add_parser(
+    command(
         "unicyclic-min",
-        help="survey connected non-bipartite unicyclic graphs of given order(s)",
-    )
-    _add_survey_arguments(p)
-    p.set_defaults(
-        func=_cmd_survey,
+        surveys,
+        "survey connected non-bipartite unicyclic graphs of given order(s)",
+        _cmd_survey,
         check_order=_check_unicyclic_order,
         enumerate=enumerate_unicyclic_nonbipartite,
     )
-
-    p = sub.add_parser("family", help="emit a named family graph as graph6")
+    p = command("family", output, "emit a named family graph as graph6", _cmd_family)
     p.add_argument("family", nargs="?", help="family name (see --list)")
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--list", action="store_true", help="list available families")
-    _add_output_argument(p)
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("quotient", help="quotient matrix and spectrum of one graph")
-    _add_input_arguments(p)
-    _add_output_argument(p)
+    p = command("quotient", graphs, "quotient matrix and spectrum of one graph", _cmd_quotient)
     p.add_argument(
         "--partition",
         metavar="BLOCKS",
@@ -430,23 +418,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="refine the given partition to the coarsest equitable one",
     )
-    p.add_argument("--json", action="store_true", help="JSON instead of text")
-    p.set_defaults(func=_cmd_quotient)
-
-    p = sub.add_parser(
-        "leaf-profile", help="per-vertex square-energy increments of adding a pendant"
+    command(
+        "leaf-profile",
+        graphs,
+        "per-vertex square-energy increments of adding a pendant",
+        _cmd_leaf_profile,
     )
-    _add_input_arguments(p)
-    _add_output_argument(p)
-    p.add_argument("--json", action="store_true", help="JSON records instead of CSV")
-    p.set_defaults(func=_cmd_leaf_profile)
-
-    p = sub.add_parser("m0-curve", help="cycle half-length threshold m0(n)")
-    p.add_argument("--n", required=True, metavar="N|A-B", help="order or inclusive range")
-    p.add_argument("--json", action="store_true", help="JSON points instead of CSV")
-    _add_output_argument(p)
-    p.set_defaults(func=_cmd_m0_curve)
-
+    command("m0-curve", orders, "cycle half-length threshold m0(n)", _cmd_m0_curve)
     return parser
 
 
@@ -503,7 +481,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         return 1
-    except (Graph6Error, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"sqenergy: error: {exc}", file=sys.stderr)
         return 1
 

@@ -380,7 +380,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel so that new vertex i is old vertex perm[i]."""
+    """Relabel so that new vertex i is old vertex perm[i].
+
+    Raises ValueError unless ``perm`` is a permutation of ``range(g.n)``.
+    """
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"relabel needs a permutation of range({g.n}), got {list(perm)}")
     label = [0] * g.n
     for i, v in enumerate(perm):
         label[v] = 1 << i

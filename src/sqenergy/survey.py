@@ -144,7 +144,6 @@ def survey(
     total = plus_gt = minus_gt = equal = bip = 0
     tplus = _MinTracker()
     tminus = _MinTracker()
-    min_slack = math.inf
     for rec in records:
         if n < 0:
             n = rec.n
@@ -161,7 +160,6 @@ def survey(
             bip += 1
         tplus.offer(rec.s_plus, rec.graph6)
         tminus.offer(rec.s_minus, rec.graph6)
-        min_slack = min(min_slack, min(rec.s_plus, rec.s_minus) - (n - 1))
         if record_sink is not None:
             record_sink(rec)
     if total == 0:
@@ -186,7 +184,7 @@ def survey(
         min_s_minus=vminus,
         min_s_minus_g6=gminus,
         min_s_minus_ties=ties_minus,
-        min_slack=min_slack,
+        min_slack=min(vplus, vminus) - (n - 1),
         rounding_flags=tuple(flags),
     )
 

@@ -604,6 +604,23 @@ class TestCertifyPipeline:
         assert cert.witness["cycle_length"] == 5
         assert cert.witness["base_bound"] == pytest.approx(4.0)
 
+    def test_every_sweep_rule_takes_the_order_0_graph(self):
+        # the empty graph counts as connected, so only the documented
+        # hypotheses of rank_bound and energy_count_bound may reject it
+        empty = from_edges(0, [])
+        assert check_avg_degree(empty) is None
+        assert check_spanning_structures(empty) == []
+        assert check_self_join(empty) is None
+        induced_bipartite_bound(empty)
+        assert unicyclic_fractional_bound(empty) is None
+        assert majorization_two_positive(empty) is None
+        with pytest.raises(ValueError, match="order >= 3"):
+            rank_bound(empty)
+        with pytest.raises(ValueError, match="at least one edge"):
+            energy_count_bound(empty)
+        for _, check in bounds_module._SWEEP:
+            check(GraphFacts(empty))
+
     def test_json_shape(self):
         cert = certify(complete_graph(4), rules=["avg_degree"])[0]
         payload = cert.to_json_dict()

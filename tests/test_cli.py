@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import io
@@ -17,7 +18,7 @@ from conftest import random_connected
 import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
 from sqenergy.bounds import certify
-from sqenergy.cli import SURVEY_CSV_HEADER, main
+from sqenergy.cli import SURVEY_CSV_HEADER, _build_parser, main
 from sqenergy.enumeration import enumerate_connected
 from sqenergy.graphs import from_graph6, to_graph6
 from sqenergy.survey import certify_corpus, survey
@@ -498,6 +499,88 @@ class TestParser:
             main(["scan", "--n", "5", "--threads", "bogus"])
         assert exc.value.code == 2
         assert "argument --threads: invalid int value: 'bogus'" in capsys.readouterr().err
+
+
+# The command line's surface: per subcommand, each option by dest as
+# (option strings, required, default), each positional by dest as its nargs
+# (which sets ``required``, differently across Python versions for "*"), and
+# the names of the values the subcommand sets as defaults.
+_OUTPUT = {"output": (("-o", "--output"), False, None)}
+_JSON = {"json": (("--json",), False, False), **_OUTPUT}
+_GRAPHS = {"input": "?", "g6": (("--g6",), False, None), **_JSON}
+_ORDERS = {"n": (("--n",), True, None), **_JSON}
+_SURVEY = {
+    **_ORDERS,
+    "threads": (("--threads",), False, 1),
+    "records": (("--records",), False, None),
+}
+CLI_SURFACE = {
+    "energies": (_GRAPHS, {"func": "_cmd_energies"}),
+    "certify": (
+        {**_GRAPHS, "rules": (("--rules",), False, None)},
+        {"func": "_cmd_certify"},
+    ),
+    "scan": (
+        {**_SURVEY, "table1": (("--table1",), False, False)},
+        {
+            "func": "_cmd_survey",
+            "check_order": "_check_connected_order",
+            "enumerate": "enumerate_connected",
+        },
+    ),
+    "unicyclic-min": (
+        _SURVEY,
+        {
+            "func": "_cmd_survey",
+            "check_order": "_check_unicyclic_order",
+            "enumerate": "enumerate_unicyclic_nonbipartite",
+        },
+    ),
+    "family": (
+        {"family": "?", "params": "*", "list": (("--list",), False, False), **_OUTPUT},
+        {"func": "_cmd_family"},
+    ),
+    "quotient": (
+        {
+            **_GRAPHS,
+            "partition": (("--partition",), False, None),
+            "refine": (("--refine",), False, False),
+        },
+        {"func": "_cmd_quotient"},
+    ),
+    "leaf-profile": (_GRAPHS, {"func": "_cmd_leaf_profile"}),
+    "m0-curve": (_ORDERS, {"func": "_cmd_m0_curve"}),
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestSurface:
+    def test_subcommands(self):
+        assert list(_subparsers()) == list(CLI_SURFACE)
+
+    @pytest.mark.parametrize("subcommand", list(CLI_SURFACE))
+    def test_arguments_and_defaults(self, subcommand):
+        parser = _subparsers()[subcommand]
+        arguments = {
+            a.dest: (
+                (tuple(a.option_strings), a.required, a.default) if a.option_strings else a.nargs
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        defaults = {key: value.__name__ for key, value in parser._defaults.items()}
+        assert (arguments, defaults) == CLI_SURFACE[subcommand]
+
+    @pytest.mark.parametrize("subcommand", list(CLI_SURFACE))
+    def test_help_exits_zero(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sqenergy {subcommand} ")
 
 
 class TestRejectedRunKeepsOutput:

@@ -375,6 +375,11 @@ class TestOperations:
         h = relabel(g, (1, 0, 2, 3))
         assert h.has_edge(0, 2) and h.has_edge(0, 1) and h.has_edge(2, 3)
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 5], [-1, 0, 1]])
+    def test_relabel_rejects_a_non_permutation(self, perm):
+        with pytest.raises(ValueError, match=r"permutation of range\(3\)"):
+            relabel(path_graph(3), perm)
+
     @given(graphs(max_n=10), st.randoms(use_true_random=False))
     def test_relabel_preserves_degree_multiset(self, g, rnd):
         perm = list(range(g.n))
