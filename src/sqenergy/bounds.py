@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +22,10 @@ from .graphs import (
     CactusProfile,
     Graph,
     GraphStats,
+    _cactus,
+    _layers,
+    _stats,
     bits,
-    cactus_profile,
     complement,
     component_masks,
     delete_edge,
@@ -82,32 +83,57 @@ __all__ = [
 CONCLUSIVE_TOL = 1e-9
 
 
+class _once:
+    """A lazily computed attribute: the first read calls the function and
+    stores its value in the instance ``__dict__``, where every later read,
+    or an assignment made before the first, finds it without this
+    descriptor.  ``functools.cached_property`` does the same but takes a
+    lock on each first read in Python 3.11.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class GraphFacts:
     """Per-graph invariants the certificate rules share, each computed on
-    first use and at most once.  Build one per graph and drop it after:
+    first use and at most once.  ``stats`` and ``cactus`` share one
+    breadth-first layering.  Build one per graph and drop it after:
     facts kept for a whole corpus would keep every spectrum alive.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
 
-    @cached_property
-    def stats(self) -> GraphStats:
-        return stats(self.graph)
+    @_once
+    def _components(self) -> list[list[int]]:
+        return _layers(self.graph)
 
-    @cached_property
+    @_once
+    def stats(self) -> GraphStats:
+        return _stats(self.graph, self._components)
+
+    @_once
     def spectrum(self) -> Spectrum:
         return eigenvalues(self.graph)
 
-    @cached_property
+    @_once
     def profile(self) -> EnergyProfile:
         return energy_profile(self.spectrum)
 
-    @cached_property
+    @_once
     def _exact_rank(self) -> Optional[int]:
         return rank_exact(self.graph) if self.graph.n <= EXACT_ORDER_CAP else None
 
-    @cached_property
+    @_once
     def inertia(self) -> Inertia:
         """The spectrum's tolerance inertia, checked up to the exact cap:
         raises ArithmeticError when its zero count differs from n - rank(A).
@@ -122,13 +148,13 @@ class GraphFacts:
                 )
         return inertia
 
-    @cached_property
+    @_once
     def complement_components(self) -> list[int]:
         return component_masks(complement(self.graph))
 
-    @cached_property
+    @_once
     def cactus(self) -> CactusProfile:
-        return cactus_profile(self.graph)
+        return _cactus(self.graph, self._components, self.stats.m)
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:
@@ -140,13 +166,13 @@ def _solved_facts(g: Graph, spectrum: Spectrum, rank: Optional[int]) -> GraphFac
     ahead, as ``spectral.spectra_and_ranks`` gives them for a corpus; a
     missing rank is computed on first use, as for any ``GraphFacts``."""
     f = GraphFacts(g)
-    f.spectrum = spectrum  # assigning fills a cached_property's cache
+    f.spectrum = spectrum  # assigning fills the cache of an _once attribute
     if rank is not None:
         f._exact_rank = rank
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundCertificate:
     """A checkable claim: the named rule proves target >= bound_value.
 
@@ -161,6 +187,16 @@ class BoundCertificate:
     bound_value: float
     witness: dict
     conclusive: bool
+
+    def __init__(self, rule: str, target: str, bound_value: float, witness: dict, conclusive: bool):
+        # the generated frozen __init__ sets each field through
+        # object.__setattr__, which is most of a certificate's cost
+        d = self.__dict__
+        d["rule"] = rule
+        d["target"] = target
+        d["bound_value"] = bound_value
+        d["witness"] = witness
+        d["conclusive"] = conclusive
 
     def covers(self, target: str) -> bool:
         """Whether this certificate alone proves the n - 1 floor for target."""
@@ -182,13 +218,7 @@ def _meets_floor(value: float, n: int) -> bool:
 
 
 def _certificate(rule: str, target: str, bound: float, witness: dict, n: int) -> BoundCertificate:
-    return BoundCertificate(
-        rule=rule,
-        target=target,
-        bound_value=float(bound),
-        witness=witness,
-        conclusive=_meets_floor(bound, n),
-    )
+    return BoundCertificate(rule, target, float(bound), witness, _meets_floor(bound, n))
 
 
 @dataclass(frozen=True)
@@ -601,8 +631,11 @@ def induced_bipartite_bound(
         dels = sorted(set(deletions))
         if dels and not (0 <= dels[0] and dels[-1] < g.n):
             raise ValueError(f"vertex set {dels} out of range for n={g.n}")
-    keep = [v for v in range(g.n) if v not in set(dels)]
-    hs = stats(induced_subgraph(g, keep))
+    if dels:
+        dropped = set(dels)
+        hs = stats(induced_subgraph(g, [v for v in range(g.n) if v not in dropped]))
+    else:  # nothing deleted: H is g itself
+        hs = st
     if not hs.bipartite:
         raise ValueError(f"deleting {dels} does not leave a bipartite graph")
     coarse = st.m - len(dels) * st.max_degree

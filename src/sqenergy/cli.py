@@ -234,7 +234,7 @@ def _cmd_survey(args: argparse.Namespace, out: IO[str]) -> int:
             os.path.isfile(target) or not os.path.exists(target)
         ):
             raise UsageError(f"--records and --output both name {args.records!r}")
-    header = TABLE1_CSV_HEADER if getattr(args, "table1", False) else SURVEY_CSV_HEADER
+    header = TABLE1_CSV_HEADER if args.table1 else SURVEY_CSV_HEADER
     with _record_sink(args.records) as sink:
         if not args.json:
             print(header, file=out)
@@ -402,6 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _cmd_survey,
         check_order=_check_unicyclic_order,
         enumerate=enumerate_unicyclic_nonbipartite,
+        table1=False,  # no --table1: always the full survey columns
     )
     p = command("family", output, "emit a named family graph as graph6", _cmd_family)
     p.add_argument("family", nargs="?", help="family name (see --list)")

@@ -425,11 +425,15 @@ def stats(g: Graph) -> GraphStats:
     Each vertex is coloured by the parity of its breadth-first layer; the
     graph is bipartite iff no edge lies inside a layer.
     """
+    return _stats(g, _layers(g))
+
+
+def _stats(g: Graph, comps: list[list[int]]) -> GraphStats:
+    """``stats`` of g from its breadth-first layers ``comps`` (``_layers(g)``)."""
     n = g.n
     rows = g.rows
     degrees = [r.bit_count() for r in rows]
     m = sum(degrees) // 2
-    comps = _layers(g)
     color = [0] * n
     bipartite = True
     for layers in comps:
@@ -456,10 +460,15 @@ def cactus_profile(g: Graph) -> CactusProfile:
     tree share no edge: any other cycle is a union of two or more of them.
     Raises on disconnected input.
     """
-    comps = _layers(g)
+    return _cactus(g, _layers(g), g.m)
+
+
+def _cactus(g: Graph, comps: list[list[int]], m: int) -> CactusProfile:
+    """``cactus_profile`` of g from its breadth-first layers ``comps``
+    (``_layers(g)``) and its edge count m."""
     if len(comps) != 1:
         raise ValueError("cactus profile requires a connected graph")
-    if g.m > 3 * (g.n - 1) // 2:  # more edges than any cactus of this order
+    if m > 3 * (g.n - 1) // 2:  # more edges than any cactus of this order
         return CactusProfile(False, (), 0, 0)
     cycles = _fundamental_cycles(g, comps[0])
     if cycles is None:

@@ -257,8 +257,10 @@ def _certified(
         for g, (spectrum, rank) in zip(chunk, spectra_and_ranks(chunk)):
             facts = _solved_facts(g, spectrum, rank)
             certs = certify(facts, rules=rules)
-            plus_ok = any(c.covers("s_plus") for c in certs)
-            minus_ok = any(c.covers("s_minus") for c in certs)
+            plus_ok = minus_ok = False
+            for c in certs:
+                plus_ok = plus_ok or c.covers("s_plus")
+                minus_ok = minus_ok or c.covers("s_minus")
             yield facts, certs, plus_ok, minus_ok
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,11 +14,14 @@ from hypothesis import given
 
 from _strategies import graphs
 from conftest import random_connected
+from test_graphs import _seeded_graph
 import sqenergy.bounds as bounds_module
+import sqenergy.graphs as graphs_module
 import sqenergy.spectral as spectral_module
 from sqenergy.bounds import (
     CERTIFY_RULES,
     CONCLUSIVE_TOL,
+    BoundCertificate,
     GraphFacts,
     certify,
     check_avg_degree,
@@ -50,6 +55,8 @@ from sqenergy.families import (
 from sqenergy.graphs import (
     Graph,
     add_leaf,
+    cactus_profile,
+    complement,
     from_edges,
     from_graph6,
     kronecker,
@@ -649,6 +656,34 @@ class TestFloor:
         assert bounds_module._meets_floor(math.nextafter(edge, -math.inf), n) is False
 
 
+class TestBoundCertificate:
+    def test_dataclass_behaviour_is_kept(self):
+        cert = BoundCertificate("clique", "s_plus", 9.0, {"clique": [0, 1, 2, 3]}, True)
+        assert cert == BoundCertificate(
+            rule="clique", target="s_plus", bound_value=9.0, witness={"clique": [0, 1, 2, 3]},
+            conclusive=True,
+        )
+        assert cert != BoundCertificate("clique", "s_plus", 9.0, {"clique": [0, 1, 2, 3]}, False)
+        assert repr(cert) == (
+            "BoundCertificate(rule='clique', target='s_plus', bound_value=9.0, "
+            "witness={'clique': [0, 1, 2, 3]}, conclusive=True)"
+        )
+        assert [f.name for f in dataclasses.fields(cert)] == [
+            "rule", "target", "bound_value", "witness", "conclusive"
+        ]
+        lower = dataclasses.replace(cert, bound_value=4.0, conclusive=False)
+        assert lower == BoundCertificate("clique", "s_plus", 4.0, {"clique": [0, 1, 2, 3]}, False)
+        assert cert.bound_value == 9.0 and cert.conclusive
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.bound_value = 10.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del cert.rule
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(cert)  # the fields' hash, and a witness is a dict
+        plain = BoundCertificate("rank", "s_minus", 7.0, (), True)
+        assert hash(plain) == hash(("rank", "s_minus", 7.0, (), True))
+
+
 class TestGraphFacts:
     SAMPLES = [
         complete_graph(4),
@@ -659,24 +694,80 @@ class TestGraphFacts:
         extended_barbell_graph(3),
     ]
 
+    @staticmethod
+    def _replace(monkeypatch, fn, new) -> None:
+        """Put ``new`` in place of ``fn`` in every ``sqenergy`` namespace that holds it."""
+        for key, mod in list(sys.modules.items()):
+            if key == "sqenergy" or key.startswith("sqenergy."):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, new)
+
+    def _count(self, monkeypatch, module, name) -> list[tuple]:
+        """The argument tuples of every later call to ``module.name``."""
+        fn, log = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+
+        self._replace(monkeypatch, fn, counted)
+        return log
+
+    def _refuse(self, monkeypatch, module, name) -> None:
+        def refuse(*args, **kwargs):
+            pytest.fail(f"{name} called")
+
+        self._replace(monkeypatch, getattr(module, name), refuse)
+
     @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}")
     def test_one_certify_call_computes_each_invariant_once(self, g, monkeypatch):
-        calls = {}
-
-        def count(module, name):
-            fn = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        for name in ("eigenvalues", "rank_exact", "component_masks", "cactus_profile"):
-            count(bounds_module, name)
-        count(spectral_module, "eigenvalues")  # reached through graph_profile
+        layered = self._count(monkeypatch, graphs_module, "_layers")
+        solved = self._count(monkeypatch, spectral_module, "eigenvalues")
+        ranked = self._count(monkeypatch, spectral_module, "rank_exact")
         certify(g)
-        assert calls and max(calls.values()) == 1, calls
+        assert len(solved) == 1 and len(ranked) == 1
+        # one layering of g and at most one of its complement; any other is
+        # of a proper induced subgraph (induced_bipartite's H)
+        order_n = [args[0] for args in layered if args[0].n == g.n]
+        assert order_n.count(g) == 1 and len(order_n) <= 2, order_n
+        if len(order_n) == 2:
+            assert complement(g) in order_n
+
+    def test_facts_are_computed_only_when_a_rule_reads_them(self, monkeypatch):
+        for module, name in (
+            (spectral_module, "eigenvalues"),
+            (spectral_module, "rank_exact"),
+            (graphs_module, "complement"),
+        ):
+            self._refuse(monkeypatch, module, name)
+        fired = [certify(g, rules=["avg_degree"]) for g in self.SAMPLES]
+        assert [len(certs) for certs in fired] == [1, 1, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_solved_facts_are_not_solved_again(self, g, monkeypatch):
+        expected = certify(g)
+        facts = bounds_module._solved_facts(g, eigenvalues(g), spectral_module.rank_exact(g))
+        self._refuse(monkeypatch, spectral_module, "eigenvalues")
+        self._refuse(monkeypatch, spectral_module, "rank_exact")
+        assert certify(facts) == expected
+
+    def test_stats_and_cactus_match_the_public_functions(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"
+        corpus = [from_graph6(line) for line in path.read_text().split()]
+        seeded = [
+            _seeded_graph(n, p, seed=n)
+            for n in range(5, 71)
+            for p in (1.0 / n, 2.0 / n, 4.0 / n, 0.3)
+        ]
+        connected = 0
+        for g in corpus + seeded:
+            facts = GraphFacts(g)
+            assert facts.stats == stats(g)
+            if facts.stats.connected:
+                connected += 1
+                assert facts.cactus == cactus_profile(g)
+        assert len(corpus) < connected < len(corpus) + len(seeded)  # both kinds seeded
 
     @pytest.mark.parametrize("g", SAMPLES, ids=lambda g: f"n{g.n}m{g.m}")
     def test_rules_agree_on_graph_and_facts(self, g):

@@ -504,7 +504,7 @@ class TestParser:
 # The command line's surface: per subcommand, each option by dest as
 # (option strings, required, default), each positional by dest as its nargs
 # (which sets ``required``, differently across Python versions for "*"), and
-# the names of the values the subcommand sets as defaults.
+# the values the subcommand sets as defaults, functions by name.
 _OUTPUT = {"output": (("-o", "--output"), False, None)}
 _JSON = {"json": (("--json",), False, False), **_OUTPUT}
 _GRAPHS = {"input": "?", "g6": (("--g6",), False, None), **_JSON}
@@ -534,6 +534,7 @@ CLI_SURFACE = {
             "func": "_cmd_survey",
             "check_order": "_check_unicyclic_order",
             "enumerate": "enumerate_unicyclic_nonbipartite",
+            "table1": False,
         },
     ),
     "family": (
@@ -572,7 +573,10 @@ class TestSurface:
             for a in parser._actions
             if not isinstance(a, argparse._HelpAction)
         }
-        defaults = {key: value.__name__ for key, value in parser._defaults.items()}
+        defaults = {
+            key: value.__name__ if callable(value) else value
+            for key, value in parser._defaults.items()
+        }
         assert (arguments, defaults) == CLI_SURFACE[subcommand]
 
     @pytest.mark.parametrize("subcommand", list(CLI_SURFACE))
