@@ -172,7 +172,7 @@ def _solved_facts(g: Graph, spectrum: Spectrum, rank: Optional[int]) -> GraphFac
     return f
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BoundCertificate:
     """A checkable claim: the named rule proves target >= bound_value.
 
@@ -187,16 +187,6 @@ class BoundCertificate:
     bound_value: float
     witness: dict
     conclusive: bool
-
-    def __init__(self, rule: str, target: str, bound_value: float, witness: dict, conclusive: bool):
-        # the generated frozen __init__ sets each field through
-        # object.__setattr__, which is most of a certificate's cost
-        d = self.__dict__
-        d["rule"] = rule
-        d["target"] = target
-        d["bound_value"] = bound_value
-        d["witness"] = witness
-        d["conclusive"] = conclusive
 
     def covers(self, target: str) -> bool:
         """Whether this certificate alone proves the n - 1 floor for target."""
@@ -218,7 +208,13 @@ def _meets_floor(value: float, n: int) -> bool:
 
 
 def _certificate(rule: str, target: str, bound: float, witness: dict, n: int) -> BoundCertificate:
-    return BoundCertificate(rule, target, float(bound), witness, _meets_floor(bound, n))
+    return BoundCertificate(
+        rule=rule,
+        target=target,
+        bound_value=float(bound),
+        witness=witness,
+        conclusive=_meets_floor(bound, n),
+    )
 
 
 @dataclass(frozen=True)
@@ -631,11 +627,9 @@ def induced_bipartite_bound(
         dels = sorted(set(deletions))
         if dels and not (0 <= dels[0] and dels[-1] < g.n):
             raise ValueError(f"vertex set {dels} out of range for n={g.n}")
-    if dels:
-        dropped = set(dels)
-        hs = stats(induced_subgraph(g, [v for v in range(g.n) if v not in dropped]))
-    else:  # nothing deleted: H is g itself
-        hs = st
+    dropped = set(dels)
+    keep = [v for v in range(g.n) if v not in dropped]
+    hs = stats(induced_subgraph(g, keep))
     if not hs.bipartite:
         raise ValueError(f"deleting {dels} does not leave a bipartite graph")
     coarse = st.m - len(dels) * st.max_degree
