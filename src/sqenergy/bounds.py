@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     GraphStats,
     _cactus,
+    _inside_edges,
     _layers,
     _stats,
     bits,
@@ -299,8 +300,9 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     return best
 
 
-def _balanced_complement_split(f: GraphFacts) -> Optional[tuple[list[int], list[int]]]:
-    """A join split (all cross edges present), roughly balanced, if one exists.
+def _balanced_complement_split(f: GraphFacts) -> Optional[int]:
+    """Side A's vertex bitset of a join split (all cross edges present),
+    roughly balanced, if one exists.
 
     Cross-complete cuts are exactly the cuts that complement components
     never straddle, so group those components greedily by size.
@@ -309,12 +311,9 @@ def _balanced_complement_split(f: GraphFacts) -> Optional[tuple[list[int], list[
     if len(comps) < 2:
         return None
     sides = [0, 0]
-    weights = [0, 0]
     for mask in sorted(comps, key=lambda c: (-c.bit_count(), c)):
-        i = 0 if weights[0] <= weights[1] else 1
-        sides[i] |= mask
-        weights[i] += mask.bit_count()
-    return list(bits(sides[0])), list(bits(sides[1]))
+        sides[sides[0].bit_count() > sides[1].bit_count()] |= mask  # ties go to side A
+    return sides[0]
 
 
 def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
@@ -331,18 +330,11 @@ def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
     g = f.graph
     n = g.n
     out = []
-    split = _balanced_complement_split(f)
-    if split is not None:
-        r = len(split[0])
-        out.append(
-            _certificate(
-                "complete_bipartite_span",
-                "s_plus",
-                r * (n - r),
-                {"side": split[0], "r": r},
-                n,
-            )
-        )
+    amask = _balanced_complement_split(f)
+    if amask is not None:
+        r = amask.bit_count()
+        witness = {"side": list(bits(amask)), "r": r}
+        out.append(_certificate("complete_bipartite_span", "s_plus", r * (n - r), witness, n))
     clique = max_clique(g)
     r = len(clique) - 1
     if r >= 1 and r * r >= n - 1:
@@ -354,20 +346,24 @@ def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
 # joins and products
 
 
-def _check_partition(g: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> None:
-    """Raise ValueError unless the two sides split the vertex set, each vertex once."""
+def _check_partition(g: Graph, split: tuple[Iterable[int], Iterable[int]]) -> int:
+    """Side A's vertex bitset; raise ValueError unless the two sides split
+    the vertex set, each vertex once."""
+    side_a, side_b = list(split[0]), list(split[1])
     if not side_a or not side_b:
         raise ValueError("join split sides must be non-empty")
     amask = sum(1 << v for v in side_a)
     bmask = sum(1 << v for v in side_b)
     if amask & bmask or amask | bmask != (1 << g.n) - 1 or len(side_a) + len(side_b) != g.n:
         raise ValueError("join split must partition the vertex set")
+    return amask
 
 
-def _check_cross_edges(g: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> None:
-    """Raise ValueError unless every vertex of side_a is adjacent to all of side_b."""
-    bmask = sum(1 << v for v in side_b)
-    for v in side_a:
+def _check_cross_edges(g: Graph, amask: int) -> None:
+    """Raise ValueError unless every vertex of side A (the bitset amask) is
+    adjacent to every vertex outside it."""
+    bmask = ((1 << g.n) - 1) ^ amask
+    for v in bits(amask):
         lack = bmask & ~g.rows[v]
         if lack:
             missing = (lack & -lack).bit_length() - 1
@@ -388,15 +384,13 @@ def check_join(
     f = _facts(g)
     g = f.graph
     if split is None:
-        found = _balanced_complement_split(f)
-        if found is None:
+        amask = _balanced_complement_split(f)
+        if amask is None:
             return None
-        side_a = found[0]
     else:
-        side_a, side_b = sorted(split[0]), sorted(split[1])
-        _check_partition(g, side_a, side_b)
-        _check_cross_edges(g, side_a, side_b)
-    return _certificate("join", "s_plus", g.n - 1, {"side": list(side_a)}, g.n)
+        amask = _check_partition(g, split)
+        _check_cross_edges(g, amask)
+    return _certificate("join", "s_plus", g.n - 1, {"side": list(bits(amask))}, g.n)
 
 
 def check_self_join(
@@ -414,44 +408,36 @@ def check_self_join(
     f = _facts(g)
     g = f.graph
     n = g.n
-    candidates: list[tuple[list[int], list[int]]]
     if split is not None:
-        candidates = [(sorted(split[0]), sorted(split[1]))]
-        _check_partition(g, *candidates[0])
-    if n % 2:
+        candidates = [_check_partition(g, split)]
+    if n % 2 or n < 16:  # half order r = n/2 below 8
         return None
     r = n // 2
-    if r < 8:
-        return None
     if split is None:
         comps = sorted(f.complement_components, key=lambda c: (c.bit_count(), c))
         if len(comps) < 2 or len(comps) > 12:
             return None
-        candidates = []
-        # side A always holds the last component, killing mirror duplicates
-        for pick in range(0, 1 << (len(comps) - 1)):
-            amask = comps[-1]
-            for i in bits(pick):
-                amask |= comps[i]
-            if amask.bit_count() == r:
-                bmask = (1 << n) - 1 - amask
-                candidates.append((list(bits(amask)), list(bits(bmask))))
-    for side_a, side_b in candidates:
-        if len(side_a) != r:
+        # side A always holds the last component, killing mirror duplicates;
+        # components are disjoint, so their sum is their union
+        get = comps.__getitem__
+        candidates = [sum(map(get, bits(pick)), comps[-1]) for pick in range(1 << (len(comps) - 1))]
+    full = (1 << n) - 1
+    for amask in candidates:
+        if amask.bit_count() != r:
             continue
-        e1 = induced_subgraph(g, side_a).m
-        e2 = induced_subgraph(g, side_b).m
+        e1 = _inside_edges(g, amask)
+        e2 = _inside_edges(g, full ^ amask)
         if e1 != e2 or 4 * e1 > r * r:  # unequal halves, or average degree above r/2
             continue
         if split is not None:  # found splits are unions of complement components
-            _check_cross_edges(g, side_a, side_b)
+            _check_cross_edges(g, amask)
         d = 2.0 * e1 / r
         bound = min(float(n - 1), (r - d) * (r - d))
         return _certificate(
             "self_join",
             "both",
             bound,
-            {"side": list(side_a), "half_order": r, "avg_degree": d},
+            {"side": list(bits(amask)), "half_order": r, "avg_degree": d},
             n,
         )
     return None
@@ -586,16 +572,16 @@ def _greedy_odd_cycle_deletions(f: GraphFacts) -> Optional[list[int]]:
     prof = f.cactus
     if not prof.is_cactus:
         return None
-    odd = [set(c) for c in prof.cycles if len(c) % 2]
+    odd = [sum(1 << v for v in c) for c in prof.cycles if len(c) % 2]
     chosen: list[int] = []
     while odd:
-        counts: dict[int, int] = {}
+        counts = [0] * f.graph.n
         for cyc in odd:
-            for v in cyc:
-                counts[v] = counts.get(v, 0) + 1
-        v = max(sorted(counts), key=lambda w: counts[w])
+            for v in bits(cyc):
+                counts[v] += 1
+        v = counts.index(max(counts))  # the smallest vertex on most odd cycles
         chosen.append(v)
-        odd = [c for c in odd if v not in c]
+        odd = [c for c in odd if not c >> v & 1]
     return chosen
 
 
@@ -627,9 +613,8 @@ def induced_bipartite_bound(
         dels = sorted(set(deletions))
         if dels and not (0 <= dels[0] and dels[-1] < g.n):
             raise ValueError(f"vertex set {dels} out of range for n={g.n}")
-    dropped = set(dels)
-    keep = [v for v in range(g.n) if v not in dropped]
-    hs = stats(induced_subgraph(g, keep))
+    keep = ((1 << g.n) - 1) ^ sum(1 << v for v in dels)
+    hs = stats(induced_subgraph(g, bits(keep)))
     if not hs.bipartite:
         raise ValueError(f"deleting {dels} does not leave a bipartite graph")
     coarse = st.m - len(dels) * st.max_degree

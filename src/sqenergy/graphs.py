@@ -368,15 +368,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     keep = sorted(set(s))
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError(f"vertex set {keep} out of range for n={g.n}")
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        mask = 0
-        for w in bits(g.rows[v]):
-            if w in pos:
-                mask |= 1 << pos[w]
-        rows.append(mask)
-    return Graph(len(keep), tuple(rows))
+    return _placed(g, keep)
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -386,12 +378,24 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """
     if sorted(perm) != list(range(g.n)):
         raise ValueError(f"relabel needs a permutation of range({g.n}), got {list(perm)}")
+    return _placed(g, perm)
+
+
+def _placed(g: Graph, order: Sequence[int]) -> Graph:
+    """The subgraph on the distinct vertices ``order``, new vertex i being
+    old vertex order[i]; edges to vertices outside ``order`` are dropped."""
     label = [0] * g.n
-    for i, v in enumerate(perm):
+    for i, v in enumerate(order):
         label[v] = 1 << i
     get = label.__getitem__
     rows = g.rows
-    return Graph(g.n, tuple([sum(map(get, bits(rows[v]))) for v in perm]))
+    return Graph(len(order), tuple([sum(map(get, bits(rows[v]))) for v in order]))
+
+
+def _inside_edges(g: Graph, mask: int) -> int:
+    """Number of edges with both ends in the vertex bitset ``mask``."""
+    rows = g.rows
+    return sum([(rows[v] & mask).bit_count() for v in bits(mask)]) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import graphs
 from .canon import _refine
-from .graphs import Graph, bits
+from .graphs import Graph, _inside_edges, bits
 from .spectral import Spectrum, spectrum_from_values
 
 __all__ = [
@@ -246,8 +246,8 @@ def edge_cut_quotient(g: Graph, s: Iterable[int]) -> EdgeCutBound:
     comask = ((1 << g.n) - 1) ^ mask
     k = len(side)
     nk = g.n - k
-    e1 = sum((g.rows[v] & mask).bit_count() for v in side) // 2
-    e2 = sum((g.rows[v] & comask).bit_count() for v in bits(comask)) // 2
+    e1 = _inside_edges(g, mask)
+    e2 = _inside_edges(g, comask)
     c = sum((g.rows[v] & comask).bit_count() for v in side)
     d1 = 2.0 * e1 / k
     d2 = 2.0 * e2 / nk

@@ -57,8 +57,10 @@ from sqenergy.graphs import (
     add_leaf,
     cactus_profile,
     complement,
+    component_masks,
     from_edges,
     from_graph6,
+    join,
     kronecker,
     move_neighbors,
     stats,
@@ -70,6 +72,10 @@ from sqenergy.spectral import Inertia, Spectrum, eigenvalues, graph_profile
 
 def two_triangles() -> Graph:
     return from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+def perfect_matching(n: int) -> Graph:
+    return from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
 
 
 class TestAvgDegree:
@@ -197,6 +203,11 @@ class TestJoin:
         with pytest.raises(ValueError, match="partition the vertex set"):
             check_join(g, split=([0], [2, 3, 4]))
 
+    @pytest.mark.parametrize("split", [([], range(5)), (range(5), ())], ids=["a-empty", "b-empty"])
+    def test_empty_side_raises(self, split):
+        with pytest.raises(ValueError, match="join split sides must be non-empty"):
+            check_join(complete_bipartite_graph(2, 3), split=split)
+
     def test_non_join_returns_none(self):
         assert check_join(path_graph(5)) is None
 
@@ -213,10 +224,25 @@ class TestSelfJoin:
         assert check_self_join(complete_bipartite_graph(4, 4)) is None
 
     def test_dense_halves_rejected(self):
-        # halves are K_8: average inside degree 7 > r/2
-        g = check_self_join(from_edges(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
-                                            if (u < 8) == (v < 8) or (u < 8) != (v < 8)]))
-        assert g is None
+        # the complement is 8 disjoint edges; any half of 4 of them keeps
+        # 28 - 4 = 24 inside edges, average inside degree 6 > r/2
+        dense = complement(perfect_matching(8))
+        assert len(component_masks(complement(join(dense, dense)))) == 8
+        assert check_self_join(join(dense, dense)) is None
+
+    def test_unequal_halves_rejected(self):
+        # the only balanced split puts the 8 isolated vertices on one side:
+        # 0 inside edges there, 24 on the other
+        g = join(complement(perfect_matching(8)), from_edges(8, []))
+        assert check_self_join(g) is None
+        assert check_self_join(g, split=(range(8), range(8, 16))) is None
+
+    def test_sparse_equal_halves_fire(self):
+        g = join(perfect_matching(8), perfect_matching(8))
+        cert = check_self_join(g)
+        assert cert is not None and cert.target == "both" and cert.conclusive
+        assert cert.witness == {"side": list(range(8, 16)), "half_order": 8, "avg_degree": 1.0}
+        assert cert.bound_value == 15.0  # min(n - 1, (r - d)^2) = min(15, 49)
 
     def test_explicit_bad_split_raises(self):
         from sqenergy.graphs import delete_edge
@@ -384,6 +410,17 @@ class TestInducedBipartite:
 
     def test_non_cactus_non_bipartite_inapplicable(self):
         assert induced_bipartite_bound(complete_graph(4)) is None
+
+    def test_disconnected_non_bipartite_inapplicable(self):
+        assert induced_bipartite_bound(two_triangles()) is None
+
+    def test_greedy_deletes_the_smallest_vertex_on_most_odd_cycles(self):
+        # triangles 012 and 234 share vertex 2; triangle 567 hangs off 4-5
+        g = from_edges(8, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5),
+                           (5, 6), (5, 7), (6, 7)])
+        cert = induced_bipartite_bound(g)
+        assert cert is not None and cert.witness["deleted"] == [2, 5]
+        assert cert.witness["remaining_edges"] == 3
 
     def test_coarse_estimate_recorded(self):
         cert = induced_bipartite_bound(cycle_graph(5))

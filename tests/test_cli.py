@@ -9,12 +9,15 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 from conftest import random_connected
 
+import sqenergy.cli as cli_module
 import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
 from sqenergy.bounds import certify
@@ -122,6 +125,22 @@ class TestEnergies:
         assert code == 0 and out == []
         lines = dest.read_text().splitlines()
         assert lines[1] == "Bw,3,3,4.000000,2.000000,4.000000,1,0,2"
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_1_without_a_traceback(self, tmp_path):
+        source = tmp_path / "triangles.g6"
+        source.write_text(f"{TRIANGLE}\n" * 20000)  # far more output than a pipe buffers
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        with source.open() as stdin, subprocess.Popen(
+            [sys.executable, "-m", "sqenergy.cli", "energies"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"graph6,n,m,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""  # neither a traceback nor the OSError report
 
 
 class TestCertify:

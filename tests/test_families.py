@@ -65,6 +65,11 @@ class TestBasicFamilies:
         with pytest.raises(ValueError):
             fn(bad)
 
+    @pytest.mark.parametrize("r,s", [(0, 3), (3, 0)])
+    def test_complete_bipartite_rejects_an_empty_side(self, r, s):
+        with pytest.raises(ValueError, match=r"needs r, s >= 1"):
+            complete_bipartite_graph(r, s)
+
 
 class TestCompositeFamilies:
     def test_barbell(self):
@@ -153,3 +158,7 @@ class TestDispatch:
     def test_non_integer_parameter(self):
         with pytest.raises(ValueError, match="integer"):
             generate_family("cycle", "five")
+
+    def test_threshold_needs_its_creation_string(self):
+        with pytest.raises(ValueError, match="threshold expects its creation string"):
+            generate_family("threshold", 5)

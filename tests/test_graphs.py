@@ -14,6 +14,7 @@ import sqenergy.graphs as graphs_module
 from sqenergy.families import complete_graph, cycle_graph, path_graph, star_graph
 from sqenergy.graphs import (
     CactusProfile,
+    Graph,
     Graph6Error,
     add_leaf,
     bits,
@@ -171,6 +172,11 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="truncated graph6 order field"):
             from_graph6("~A")
 
+    def test_encode_order_above_cap(self):
+        n = graphs_module._G6_MAX_N + 1
+        with pytest.raises(ValueError, match=f"order {n} exceeds the supported cap"):
+            to_graph6(Graph(n, (0,) * n))
+
     def test_error_order_above_cap(self):
         # six-char extended header encoding 2^18 + 1
         n = (1 << 18) + 1
@@ -211,10 +217,14 @@ class TestGraph6:
             ("~??~", "truncated graph6 payload: need 326 bytes, got 0 (byte 4)"),
             ("~~???}~~", "non-canonical graph6 order field (byte 0)"),
             ("~~???~??", "truncated graph6 payload: need 5549042688 bytes, got 0 (byte 8)"),
+            # a bad byte inside the three- and the six-byte order field
+            ("~?#?", "invalid graph6 byte 35 (byte 2)"),
+            ("~~????? ", "invalid graph6 byte 32 (byte 7)"),
         ],
         ids=[
             "invalid-mid", "invalid-last", "padding", "truncated", "trailing", "invalid-first",
             "long-order-k3", "long-order-62", "order-63", "long-order-258047", "order-258048",
+            "invalid-in-order", "invalid-in-long-order",
         ],
     )
     def test_error_messages_are_pinned(self, text, message):
@@ -367,6 +377,15 @@ class TestOperations:
         assert h.n == 3 and h.m == 3
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(g, {1, 7})
+
+    @given(graphs(max_n=12), st.randoms(use_true_random=False))
+    def test_induced_subgraph_keeps_exactly_the_inside_edges(self, g, rnd):
+        keep = sorted(rnd.sample(range(g.n), rnd.randint(0, g.n)))
+        h = induced_subgraph(g, keep)
+        assert set(h.edges()) == {
+            (i, j) for j, v in enumerate(keep) for i, u in enumerate(keep[:j]) if g.has_edge(u, v)
+        }
+        assert graphs_module._inside_edges(g, sum(1 << v for v in keep)) == h.m
 
     def test_relabel_maps_new_to_old(self):
         g = path_graph(4)  # edges 01 12 23

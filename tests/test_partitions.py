@@ -148,6 +148,10 @@ class TestRefinement:
         # hub, triangle pair, pendant leaves
         assert part.blocks == ((0,), (1, 2), (3, 4, 5, 6))
 
+    def test_order_mismatch(self):
+        with pytest.raises(ValueError, match="partition covers 2 vertices, graph has 3"):
+            coarsest_equitable_refinement(path_graph(3), Partition.of([[0, 1]]))
+
     def test_respects_seed_blocks(self):
         g = cycle_graph(6)
         part = coarsest_equitable_refinement(g, Partition.of([[0], range(1, 6)]))
@@ -220,6 +224,10 @@ class TestTwins:
         got = sorted(twin_quotient_spectrum(g, part).values)
         root = math.sqrt(6)
         assert got == pytest.approx([-root, 0.0, 0.0, 0.0, root], abs=1e-9)
+
+    def test_twin_quotient_order_mismatch(self):
+        with pytest.raises(ValueError, match="partition covers 4 vertices, graph has 5"):
+            twin_quotient_spectrum(star_graph(5), Partition.of([[0], [1, 2, 3]]))
 
     def test_non_twin_block_rejected(self):
         with pytest.raises(ValueError, match="not a twin class"):
