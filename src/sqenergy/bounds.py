@@ -333,8 +333,15 @@ def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
     amask = _balanced_complement_split(f)
     if amask is not None:
         r = amask.bit_count()
-        witness = {"side": list(bits(amask)), "r": r}
-        out.append(_certificate("complete_bipartite_span", "s_plus", r * (n - r), witness, n))
+        out.append(
+            _certificate(
+                "complete_bipartite_span",
+                "s_plus",
+                r * (n - r),
+                {"side": list(bits(amask)), "r": r},
+                n,
+            )
+        )
     clique = max_clique(g)
     r = len(clique) - 1
     if r >= 1 and r * r >= n - 1:
@@ -419,8 +426,10 @@ def check_self_join(
             return None
         # side A always holds the last component, killing mirror duplicates;
         # components are disjoint, so their sum is their union
-        get = comps.__getitem__
-        candidates = [sum(map(get, bits(pick)), comps[-1]) for pick in range(1 << (len(comps) - 1))]
+        candidates = [
+            sum((comps[i] for i in bits(pick)), comps[-1])
+            for pick in range(1 << (len(comps) - 1))
+        ]
     full = (1 << n) - 1
     for amask in candidates:
         if amask.bit_count() != r:
@@ -613,8 +622,9 @@ def induced_bipartite_bound(
         dels = sorted(set(deletions))
         if dels and not (0 <= dels[0] and dels[-1] < g.n):
             raise ValueError(f"vertex set {dels} out of range for n={g.n}")
-    keep = ((1 << g.n) - 1) ^ sum(1 << v for v in dels)
-    hs = stats(induced_subgraph(g, bits(keep)))
+    dropped = set(dels)
+    keep = [v for v in range(g.n) if v not in dropped]
+    hs = stats(induced_subgraph(g, keep))
     if not hs.bipartite:
         raise ValueError(f"deleting {dels} does not leave a bipartite graph")
     coarse = st.m - len(dels) * st.max_degree

@@ -474,13 +474,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if not args.output:
-            return args.func(args, sys.stdout)
+            code = args.func(args, sys.stdout)
+            sys.stdout.flush()  # a reader that has gone fails here, not at exit
+            return code
         with _replaced_on_success(args.output) as out:
             return args.func(args, out)
     except UsageError as exc:
         print(f"sqenergy: usage error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        # what stdout still buffers would fail again in the interpreter's
+        # final flush, which reports it and exits 120; send it to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"sqenergy: error: {exc}", file=sys.stderr)

@@ -237,6 +237,14 @@ class TestSelfJoin:
         assert check_self_join(g) is None
         assert check_self_join(g, split=(range(8), range(8, 16))) is None
 
+    def test_more_than_12_complement_components_are_not_searched(self, monkeypatch):
+        # K16 has 16 complement components; the cap keeps the search to 2^11 masks
+        def no_count(g, mask):
+            raise AssertionError("a candidate half was counted")
+
+        monkeypatch.setattr(bounds_module, "_inside_edges", no_count)
+        assert check_self_join(complete_graph(16)) is None
+
     def test_sparse_equal_halves_fire(self):
         g = join(perfect_matching(8), perfect_matching(8))
         cert = check_self_join(g)

@@ -128,19 +128,39 @@ class TestEnergies:
 
 
 class TestBrokenPipe:
+    @staticmethod
+    def env():
+        # block-buffered stdout, as in a user's shell: unbuffered, every write
+        # fails at once and the exit-time flush has nothing left to fail on
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
     def test_reader_closing_early_exits_1_without_a_traceback(self, tmp_path):
         source = tmp_path / "triangles.g6"
         source.write_text(f"{TRIANGLE}\n" * 20000)  # far more output than a pipe buffers
-        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
         with source.open() as stdin, subprocess.Popen(
             [sys.executable, "-m", "sqenergy.cli", "energies"],
-            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(),
         ) as proc:
             assert proc.stdout.readline().startswith(b"graph6,n,m,")
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
         assert proc.returncode == 1
         assert err == b""  # neither a traceback nor the OSError report
+
+    def test_reader_gone_before_buffered_output_exits_1_without_a_message(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the output, short enough to stay buffered, cannot go
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sqenergy.cli", "family", "--list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self.env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""  # not the interpreter's "Exception ignored" report
 
 
 class TestCertify:
