@@ -359,8 +359,9 @@ def _check_partition(g: Graph, split: tuple[Iterable[int], Iterable[int]]) -> in
     side_a, side_b = list(split[0]), list(split[1])
     if not side_a or not side_b:
         raise ValueError("join split sides must be non-empty")
-    amask = sum(1 << v for v in side_a)
-    bmask = sum(1 << v for v in side_b)
+    # a negative vertex sets no bit, so the sides then cover too few vertices
+    amask = sum(1 << v for v in side_a if v >= 0)
+    bmask = sum(1 << v for v in side_b if v >= 0)
     if amask & bmask or amask | bmask != (1 << g.n) - 1 or len(side_a) + len(side_b) != g.n:
         raise ValueError("join split must partition the vertex set")
     return amask

@@ -95,7 +95,11 @@ def _record(g: Graph) -> SurveyRecord:
 
 
 class _MinTracker:
-    """Streaming minimum with a tolerance band of tied witnesses."""
+    """Streaming minimum with a tolerance band of tied witnesses.
+
+    The ties stay in stream order and the first of them is the witness,
+    so which graph is printed does not follow the float's last bits.
+    """
 
     def __init__(self):
         self.value = math.inf
@@ -109,8 +113,8 @@ class _MinTracker:
             self.near.append((value, tag))
 
     def result(self) -> tuple[float, str, tuple[str, ...]]:
-        ties = sorted(self.near)
-        return self.value, ties[0][1] if ties else "", tuple(t for _, t in ties)
+        ties = tuple(t for _, t in self.near)
+        return self.value, ties[0] if ties else "", ties
 
 
 def _rounding_flag(label: str, value: float) -> Optional[str]:

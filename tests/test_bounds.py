@@ -203,6 +203,15 @@ class TestJoin:
         with pytest.raises(ValueError, match="partition the vertex set"):
             check_join(g, split=([0], [2, 3, 4]))
 
+    @pytest.mark.parametrize(
+        "split",
+        [([-1, 0, 1], [2, 3, 4]), ([0, 1], [2, 3, -4]), ([0, 1, 5], [2, 3, 4])],
+        ids=["negative-in-a", "negative-in-b", "beyond-n"],
+    )
+    def test_split_with_a_vertex_outside_the_graph_raises(self, split):
+        with pytest.raises(ValueError, match="^join split must partition the vertex set$"):
+            check_join(complete_bipartite_graph(2, 3), split=split)
+
     @pytest.mark.parametrize("split", [([], range(5)), (range(5), ())], ids=["a-empty", "b-empty"])
     def test_empty_side_raises(self, split):
         with pytest.raises(ValueError, match="join split sides must be non-empty"):
@@ -261,8 +270,8 @@ class TestSelfJoin:
 
     @pytest.mark.parametrize(
         "split",
-        [(range(8), range(8)), ([0, 1, 2, 3, 4, 5, 6, 7, 7], range(8, 16))],
-        ids=["overlapping", "vertex-twice"],
+        [(range(8), range(8)), ([0, 1, 2, 3, 4, 5, 6, 7, 7], range(8, 16)), ([-1, *range(1, 8)], range(8, 16))],
+        ids=["overlapping", "vertex-twice", "negative-vertex"],
     )
     def test_split_that_is_not_a_partition_raises(self, split):
         with pytest.raises(ValueError, match="join split must partition the vertex set"):

@@ -305,8 +305,8 @@ def connected_children(k: int):
 
 
 def unicyclic_children(n: int):
-    """A superset of what ``enumerate_unicyclic_nonbipartite(n)`` labels: every
-    odd cycle up to order n and every pendant child of each class below n."""
+    """Every odd cycle up to order n and every pendant child of each unicyclic
+    class below n: sparse, highly symmetric inputs with many tied leaves."""
     for c in range(3, n + 1, 2):
         yield cycle_graph(c)
     for k in range(3, n):

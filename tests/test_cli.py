@@ -871,7 +871,7 @@ GOLDEN_SHA256 = {
     ),
     "scan-csv": (
         ("scan", "--n", "2-6"),
-        "97be05c4a0ff674641a3c8f2617b4d8a2b0b13cbea635e8341e8bf7c723d404d",
+        "01bdfb5d0b0ac6dd570a21bfe1b071010c786ad6f97e70ae8a7c00e158f3b14f",
     ),
     "scan-table1": (
         ("scan", "--n", "2-6", "--table1"),
@@ -879,7 +879,7 @@ GOLDEN_SHA256 = {
     ),
     "scan-json": (
         ("scan", "--n", "2-6", "--json"),
-        "9f1c387dd83da694c4ce6e15899d22baf4765d08edf481f9ada3c9f1fc510b97",
+        "986283de6ba4cdbd0dfacca89064a5a43fee4fb82237e7567024a1bfd4e060b7",
     ),
     "scan-records": (
         ("scan", "--n", "2-6", "--records", "RECORDS"),

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-import random
+import math
+import os
 from pathlib import Path
 
 import pytest
 
+import sqenergy.canon
 import sqenergy.enumeration
 from sqenergy.canon import canonical_form
 from sqenergy.enumeration import (
@@ -16,7 +18,7 @@ from sqenergy.enumeration import (
     enumerate_connected,
     enumerate_unicyclic_nonbipartite,
 )
-from sqenergy.graphs import add_leaf, bits, cactus_profile, from_edges, stats, to_graph6
+from sqenergy.graphs import cactus_profile, from_edges, stats, to_graph6
 
 CONNECTED8_G6 = Path(__file__).resolve().parent.parent / "perfbench" / "connected8.g6"
 
@@ -27,8 +29,8 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 UNICYCLIC_COUNTS = {3: 1, 4: 1, 5: 4, 6: 8, 7: 23, 8: 55, 9: 155, 10: 403, 11: 1116, 12: 3029}
 
 # sha256 of the graph6 stream (one line per graph, newline-terminated) of
-# enumerate_unicyclic_nonbipartite(n), as emitted by the global-dedupe
-# enumerator that canonical augmentation replaced
+# enumerate_unicyclic_nonbipartite(n); every unicyclic enumerator so far
+# (global dedupe, canonical augmentation, bracelets of rooted trees) emitted it
 UNICYCLIC_STREAM_SHA256 = {
     3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
     4: "2229daff9fc1aa3aec2fd43e4fc86f64cacec28d61ea4f33e05cbafb2319dc53",
@@ -43,6 +45,10 @@ UNICYCLIC_STREAM_SHA256 = {
 }
 
 
+# unicyclic_count(n) for n = 3..18, from the Polya count below
+POLYA_COUNTS = [1, 1, 4, 8, 23, 55, 155, 403, 1116, 3029, 8417, 23285, 65137, 182211, 512625, 1444444]
+
+
 def _no_search(*args, **kwargs):
     raise AssertionError("an order was enumerated")
 
@@ -51,24 +57,59 @@ def g6_stream(graphs) -> bytes:
     return "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
 
 
-def tied_leaves_from_rows(rows):
-    """The leaves whose invariant equals the new (last) leaf's, from the child's own rows;
-    None when some leaf's invariant is smaller."""
-    degree = [r.bit_count() for r in rows]
+def rooted_tree_counts(n_max: int) -> list[int]:
+    """a[k]: rooted trees on k vertices (OEIS A000081, a[0] = 0), by the recurrence
+    k a(k+1) = sum_{j=1..k} (sum_{d | j} d a(d)) a(k-j+1)."""
+    a = [0, 1]
+    for k in range(1, n_max):
+        total = sum(sum(d * a[d] for d in range(1, j + 1) if j % d == 0) * a[k - j + 1] for j in range(1, k + 1))
+        a.append(total // k)
+    return a[: n_max + 1]
 
-    def s1(x):
-        return sum(degree[u] for u in bits(rows[x]))
 
-    def invariant(leaf):
-        h = rows[leaf].bit_length() - 1
-        return degree[h], s1(h), sum(s1(x) for x in bits(rows[h]))
+def _times(p: list[int], q: list[int]) -> list[int]:
+    # product of two power series, truncated to len(p) terms
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(len(p))]
 
-    k = len(rows) - 1
-    mine = invariant(k)
-    others = {v: invariant(v) for v in range(k) if degree[v] == 1}
-    if any(inv < mine for inv in others.values()):
-        return None
-    return [v for v, inv in others.items() if inv == mine]
+
+def unicyclic_class_count(n: int, c: int) -> int:
+    """Connected unicyclic graphs of order n whose cycle has odd length c, up to isomorphism,
+    counted without canonical labelling.  By Polya's theorem they are the bracelets of
+    rooted trees: half of [x^n] ((1/c) sum_{d | c} phi(d) T(x^d)^(c/d) + T(x) T(x^2)^((c-1)/2)),
+    with T(x) the rooted-tree series."""
+    a = rooted_tree_counts(n)
+
+    def power(d: int, e: int) -> list[int]:
+        # T(x^d)^e, truncated after x^n
+        t = [a[k // d] if k % d == 0 else 0 for k in range(n + 1)]
+        out = [1] + [0] * n
+        for _ in range(e):
+            out = _times(out, t)
+        return out
+
+    rotations = sum(_phi(d) * power(d, c // d)[n] for d in range(1, c + 1) if c % d == 0)
+    reflections = _times(power(1, 1), power(2, (c - 1) // 2))[n]
+    total = rotations + c * reflections
+    assert total % (2 * c) == 0
+    return total // (2 * c)
+
+
+def _rooted_code(parents: tuple[int, ...]) -> str:
+    """The nested-bracket code of a rooted tree (Aho, Hopcroft & Ullman), where vertex
+    j > 0 hangs from parents[j - 1] < j; isomorphic rooted trees share it."""
+    below: list[list[str]] = [[] for _ in range(len(parents) + 1)]
+    for j in range(len(parents), 0, -1):
+        below[parents[j - 1]].append("(" + "".join(sorted(below[j])) + ")")
+    return "(" + "".join(sorted(below[0])) + ")"
+
+
+def _phi(d: int) -> int:
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def unicyclic_count(n: int) -> int:
+    """Connected non-bipartite unicyclic graphs of order n, summed over odd cycle lengths."""
+    return sum(unicyclic_class_count(n, c) for c in range(3, n + 1, 2))
 
 
 class TestConnected:
@@ -118,6 +159,46 @@ class TestUnicyclic:
     def test_counts(self, n):
         assert sum(1 for _ in enumerate_unicyclic_nonbipartite(n)) == UNICYCLIC_COUNTS[n]
 
+    def test_polya_count_matches_every_pinned_count(self):
+        from test_acceptance import TABLE2, TABLE2_EXTENDED
+
+        assert [unicyclic_count(n) for n in range(3, UNICYCLIC_MAX_N + 1)] == POLYA_COUNTS
+        pinned = dict(UNICYCLIC_COUNTS)
+        pinned.update((n, row[0]) for n, row in {**TABLE2, **TABLE2_EXTENDED}.items())
+        for n, count in pinned.items():
+            assert unicyclic_count(n) == count, f"n={n}"
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_bracelets_per_cycle_length_match_the_polya_count(self, n):
+        size, _ = sqenergy.enumeration._rooted_trees(n - 2)
+        for c in range(3, n + 1, 2):
+            got = sum(1 for _ in sqenergy.enumeration._bracelets(c, n, size))
+            assert got == unicyclic_class_count(n, c), f"c={c}"
+
+    def test_order_13_stream_matches_the_polya_count(self):
+        graphs = list(enumerate_unicyclic_nonbipartite(13))
+        assert len(graphs) == unicyclic_count(13)
+        assert len({g.rows for g in graphs}) == len(graphs)
+
+    @pytest.mark.skipif(
+        os.environ.get("SQENERGY_EXTENDED") != "1",
+        reason="orders 14 and 15; set SQENERGY_EXTENDED=1 to run",
+    )
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_counts_match_the_polya_count_extended(self, n):
+        assert sum(1 for _ in enumerate_unicyclic_nonbipartite(n)) == unicyclic_count(n)
+
+    def test_rooted_tree_table_has_the_a000081_counts(self):
+        size, parents = sqenergy.enumeration._rooted_trees(13)
+        a = rooted_tree_counts(13)
+        assert a[1:12] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
+        assert [size.count(k) for k in range(1, 14)] == a[1:]
+        assert size == sorted(size) and [len(p) + 1 for p in parents] == size
+        # each id is a rooted tree, and no two ids are isomorphic
+        assert all(p < j for tree in parents for j, p in enumerate(tree, start=1))
+        codes = [_rooted_code(tree) for tree in parents]
+        assert len(set(codes)) == len(codes)
+
     def test_membership_properties(self):
         for g in enumerate_unicyclic_nonbipartite(8):
             st = stats(g)
@@ -140,44 +221,39 @@ class TestUnicyclic:
         digest = hashlib.sha256(g6_stream(enumerate_unicyclic_nonbipartite(n))).hexdigest()
         assert digest == UNICYCLIC_STREAM_SHA256[n]
 
-    def test_leaf_table_matches_the_child_rows(self):
-        # the per-parent table adjusted for one attachment reads the child's invariants
-        for k in range(3, 11):
-            for parent in enumerate_unicyclic_nonbipartite(k):
-                table = sqenergy.enumeration._leaf_table(parent.rows)
-                for v in range(k):
-                    expected = tied_leaves_from_rows(add_leaf(parent, v).rows)
-                    assert sqenergy.enumeration._tied_leaves(table, v) == expected
-
-    def test_leaf_table_matches_the_child_rows_at_the_order_cap(self):
-        # order-17 parents have rows wider than 16 bits, which bits() walks instead of reading tables
-        rng = random.Random(17)
-        for _ in range(20):
-            k = rng.choice([3, 5, 7])
-            parent = from_edges(k, [(i, (i + 1) % k) for i in range(k)])
-            while parent.n < UNICYCLIC_MAX_N - 1:
-                parent = add_leaf(parent, rng.randrange(parent.n))
-            table = sqenergy.enumeration._leaf_table(parent.rows)
-            for v in range(parent.n):
-                expected = tied_leaves_from_rows(add_leaf(parent, v).rows)
-                assert sqenergy.enumeration._tied_leaves(table, v) == expected
+    def test_classes_at_the_order_cap_have_rows_wider_than_16_bits(self):
+        # bits() walks rows of 2^16 and up instead of reading its tables
+        n = UNICYCLIC_MAX_N - 1
+        size, parents = sqenergy.enumeration._rooted_trees(n - 2)
+        for c in (n - 2, n):
+            keys = set()
+            for seq in sqenergy.enumeration._bracelets(c, n, size):
+                g = sqenergy.enumeration._unicyclic(seq, parents)
+                assert g.n == g.m == n and max(g.rows).bit_length() > 16
+                assert all(g.rows[u] >> v & 1 == g.rows[v] >> u & 1 for u in range(n) for v in range(n))
+                assert stats(g).connected
+                prof = cactus_profile(g)
+                assert prof.odd_count == 1 and prof.even_count == 0 and len(prof.cycles[0]) == c
+                keys.add(canonical_form(g))
+            assert len(keys) == unicyclic_class_count(n, c)
 
     def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
-        # labelling every pendant child takes 18382 searches at order 12; a leaf
-        # invariant of the neighbour's degree alone labels 6740 children and
-        # needs 1945 second forms, the two-step invariant 4832 and 37
+        # one canonical labelling per class, and no second form
         calls = {"canonical_pair": 0, "canonical_form": 0}
-        for name in calls:
-            search = getattr(sqenergy.enumeration, name)
 
-            def counted(*args, _search=search, _name=name, **kwargs):
-                calls[_name] += 1
-                return _search(*args, **kwargs)
+        def counting(module, name):
+            search = getattr(module, name)
 
-            monkeypatch.setattr(sqenergy.enumeration, name, counted)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return search(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(sqenergy.enumeration, "canonical_pair")
+        counting(sqenergy.canon, "canonical_form")
         assert sum(1 for _ in enumerate_unicyclic_nonbipartite(12)) == UNICYCLIC_COUNTS[12]
-        assert calls["canonical_pair"] <= 5000
-        assert calls["canonical_form"] <= 100
+        assert calls == {"canonical_pair": UNICYCLIC_COUNTS[12], "canonical_form": 0}
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", _no_search)

@@ -123,7 +123,14 @@ class TestMinTracker:
         tracker.offer(4.0 + 1e-10, "y")
         tracker.offer(4.0 + 1e-8, "x")  # outside the tie band
         tracker.offer(4.0, "w")
-        assert tracker.result() == (4.0, "w", ("w", "z", "y"))
+        assert tracker.result() == (4.0, "z", ("z", "y", "w"))
+
+    def test_the_first_of_two_ties_is_the_minimiser_whichever_float_is_smaller(self):
+        # the last bits of the two values depend on the BLAS kernel; stream order does not
+        tracker = survey_module._MinTracker()
+        tracker.offer(2.0 + 4e-16, "BW")
+        tracker.offer(2.0, "Bw")
+        assert tracker.result() == (2.0, "BW", ("BW", "Bw"))
 
 
 @pytest.fixture(scope="module")
