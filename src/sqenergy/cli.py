@@ -35,8 +35,15 @@ from .partitions import (
     quotient_eigenvalues,
     quotient_matrix,
 )
-from .spectral import graph_profile
-from .survey import SurveyRecord, _certified, _check_threads, leaf_increment_profile, survey
+from .spectral import energy_profile, spectra
+from .survey import (
+    _CORPUS_CHUNK,
+    SurveyRecord,
+    _certified,
+    _check_threads,
+    leaf_increment_profile,
+    survey,
+)
 
 __all__ = ["main"]
 
@@ -129,15 +136,45 @@ def _parse_n_range(text: str) -> list[int]:
 ENERGIES_CSV_HEADER = "graph6,n,m,s_plus,s_minus,energy,positive,zero,negative"
 
 
+def _windows(items: Iterator) -> Iterator[list]:
+    """``items`` in lists of 1, 2, 4, ... up to _CORPUS_CHUNK at a time.
+
+    When reading an item raises, the items read before it come out as a
+    last list, and the error is raised after it.
+    """
+    size = 1
+    while True:
+        window = []
+        try:
+            for item in itertools.islice(items, size):
+                window.append(item)
+        except Exception:
+            if window:
+                yield window
+            raise
+        if not window:
+            return
+        yield window
+        size = min(2 * size, _CORPUS_CHUNK)
+
+
 def _cmd_energies(args: argparse.Namespace, out: IO[str]) -> int:
+    """One row per input graph, in input order.
+
+    The input is solved in windows that double from one graph up to
+    _CORPUS_CHUNK, each by one ``spectra`` call, and ``out`` is flushed
+    after each window: a reader sees the first row after one graph.
+    """
     graphs = _input_graphs(args)
     if not args.json:
         print(ENERGIES_CSV_HEADER, file=out)
-    for g6, g in graphs:
-        prof = graph_profile(g)
-        counts = (prof.inertia.positive, prof.inertia.zero, prof.inertia.negative)
-        row = (g6, g.n, g.m, prof.s_plus, prof.s_minus, prof.energy, *counts)
-        print(_record(ENERGIES_CSV_HEADER, row, args.json), file=out)
+    for window in _windows(graphs):
+        for (g6, g), spectrum in zip(window, spectra([g for _, g in window])):
+            prof = energy_profile(spectrum)
+            counts = (prof.inertia.positive, prof.inertia.zero, prof.inertia.negative)
+            row = (g6, g.n, g.m, prof.s_plus, prof.s_minus, prof.energy, *counts)
+            print(_record(ENERGIES_CSV_HEADER, row, args.json), file=out)
+        out.flush()
     return 0
 
 

@@ -76,15 +76,17 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 float adjacency matrix; orders above DENSE_ORDER_CAP raise ValueError."""
-        if self.n > DENSE_ORDER_CAP:
-            raise ValueError(
-                f"order {self.n} exceeds the dense matrix cap of {DENSE_ORDER_CAP} vertices"
-            )
         return _unpack_rows((self,), self.n)[0].astype(float)
 
 
 def _unpack_rows(group: Sequence[Graph], n: int) -> np.ndarray:
-    """The 0/1 adjacency matrices of order-n graphs as a (k, n, n) uint8 stack."""
+    """The 0/1 adjacency matrices of order-n graphs as a (k, n, n) uint8 stack.
+
+    The one check of DENSE_ORDER_CAP for adjacency matrices, single or
+    stacked: a larger order raises ValueError before anything is allocated.
+    """
+    if n > DENSE_ORDER_CAP:
+        raise ValueError(f"order {n} exceeds the dense matrix cap of {DENSE_ORDER_CAP} vertices")
     w = (n + 7) // 8  # row u as w little-endian bytes: bit v is entry (u, v)
     packed = b"".join([r.to_bytes(w, "little") for g in group for r in g.rows])
     table = np.frombuffer(packed, dtype=np.uint8).reshape(len(group) * n, w)

@@ -4,8 +4,8 @@ Floating-point eigenvalues come from a dense symmetric solver and are
 classified against a tolerance scaled to the order and spectral radius;
 exact integer arithmetic (the rank by fraction-free elimination, and the
 characteristic polynomial) backs up multiplicity questions.  A corpus is
-solved in same-order stacks: one ``eigvalsh`` call per stack and, up to
-order 22, one int64 fraction-free elimination.
+solved in same-order stacks: one ``eigvalsh`` call per stack and, when
+ranks are asked for, up to order 22, one int64 fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "perron_vector",
     "char_poly_exact",
     "rank_exact",
+    "spectra",
     "spectra_and_ranks",
     "EXACT_ORDER_CAP",
 ]
@@ -261,6 +262,12 @@ def rank_exact(g: Graph) -> int:
     return rank
 
 
+def spectra(graphs: Sequence[Graph]) -> list[Spectrum]:
+    """Each graph's spectrum, equal to ``eigenvalues(g)``, solved in the
+    same-order stacks of ``spectra_and_ranks`` but without ranks."""
+    return [spectrum for spectrum, _ in _stacked(graphs, ranked=False)]
+
+
 def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[int]]]:
     """Each graph's spectrum, equal to ``eigenvalues(g)``, and its exact
     rank for orders 1 to 22 (None otherwise).
@@ -271,6 +278,11 @@ def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[
     ``eigenvalues`` per graph.  A caller that needs the rank of a graph
     left without one asks ``rank_exact``, up to its cap.
     """
+    return _stacked(graphs, ranked=True)
+
+
+def _stacked(graphs: Sequence[Graph], ranked: bool) -> list[tuple[Spectrum, Optional[int]]]:
+    """``spectra_and_ranks``, with every rank None unless ``ranked``."""
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(i)
@@ -280,12 +292,12 @@ def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[
         ranks = [None] * len(group)
         if n <= EXACT_ORDER_CAP:
             a = _unpack_rows(group, n)
-            spectra = [_spectrum(v) for v in np.linalg.eigvalsh(a.astype(float))[:, ::-1].tolist()]
-            if 0 < n <= _INT64_RANK_CAP:
+            solved = [_spectrum(v) for v in np.linalg.eigvalsh(a.astype(float))[:, ::-1].tolist()]
+            if ranked and 0 < n <= _INT64_RANK_CAP:
                 ranks = _bareiss_ranks(a).tolist()
         else:
-            spectra = [eigenvalues(g) for g in group]
-        for i, spectrum, rank in zip(idx, spectra, ranks):
+            solved = [eigenvalues(g) for g in group]
+        for i, spectrum, rank in zip(idx, solved, ranks):
             out[i] = (spectrum, rank)
     return out
 

@@ -14,6 +14,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import random_connected
 
@@ -21,9 +22,10 @@ import sqenergy.cli as cli_module
 import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
 from sqenergy.bounds import certify
-from sqenergy.cli import SURVEY_CSV_HEADER, _build_parser, main
+from sqenergy.cli import ENERGIES_CSV_HEADER, SURVEY_CSV_HEADER, _build_parser, main
 from sqenergy.enumeration import enumerate_connected
-from sqenergy.graphs import from_graph6, to_graph6
+from sqenergy.graphs import Graph6Error, from_graph6, to_graph6
+from sqenergy.spectral import graph_profile
 from sqenergy.survey import certify_corpus, survey
 
 # the package's ``survey`` attribute is the function, not this module
@@ -262,6 +264,106 @@ class TestCertifyChunks:
         code, out, _ = run(capsys, "certify", str(src))
         _, first, _ = run(capsys, "certify", *(a for line in lines[:256] for a in ("--g6", line)))
         assert code == 1 and out == first
+
+
+@pytest.fixture(scope="module")
+def energies_lines(tmp_path_factory):
+    """640 seeded graph6 lines of orders 0-40, 65 and 70, and a file of them."""
+    rng = random.Random(20261020)
+    orders = [0, 65, 70, 65, 70] + [rng.randint(1, 40) for _ in range(635)]
+    rng.shuffle(orders)
+    lines = [to_graph6(random_connected(rng, n, 0.3)) if n else "?" for n in orders]
+    path = tmp_path_factory.mktemp("energies") / "mixed.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path, lines
+
+
+def per_graph_rows(lines, as_json: bool) -> list[str]:
+    """``energies`` output lines, each graph solved on its own by graph_profile."""
+    rows = [] if as_json else [ENERGIES_CSV_HEADER]
+    for line in lines:
+        g = from_graph6(line)
+        p = graph_profile(g)
+        row = (line, g.n, g.m, p.s_plus, p.s_minus, p.energy, *vars(p.inertia).values())
+        rows.append(cli_module._record(ENERGIES_CSV_HEADER, row, as_json))
+    return rows
+
+
+class TestEnergiesWindows:
+    """``energies`` solves its input in doubling windows of stacked spectra."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_rows_equal_the_per_graph_rows(self, flags, capsys, monkeypatch, energies_lines):
+        path, lines = energies_lines
+        want = per_graph_rows(lines, bool(flags))
+        shapes = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        code, out, err = run(capsys, "energies", *flags, str(path))
+        assert (code, err) == (0, "")
+        assert out == want
+        # a stack per order per window, none above order 64; orders 65 and 70 one by one
+        assert all(s[1] <= 64 for s in shapes if len(s) == 3)
+        assert sorted(s for s in shapes if len(s) == 2) == [(65, 65)] * 2 + [(70, 70)] * 2
+        assert sum(s[0] for s in shapes if len(s) == 3) == len(lines) - 4
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    @pytest.mark.parametrize("bad_line", [2, 5, 300])
+    def test_a_bad_line_prints_every_row_before_it(
+        self, bad_line, flags, capsys, energies_lines, tmp_path
+    ):
+        # windows hold lines 1, 2-3, 4-7, ..., 128-255, then 256 lines each: line 5 falls
+        # inside the third window, line 300 inside the first 256-line one
+        good = energies_lines[1][: bad_line - 1]
+        src = tmp_path / "bad.g6"
+        src.write_text("".join(line + "\n" for line in good) + "zz\n")
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6("zz")
+        code, out, err = run(capsys, "energies", *flags, str(src))
+        assert code == 1 and out == per_graph_rows(good, bool(flags))
+        assert err == f"sqenergy: error: {src}, line {bad_line}: {exc.value}\n"
+
+    def test_the_first_row_is_out_after_one_graph(self, monkeypatch, energies_lines):
+        lines = energies_lines[1][:10]
+        read = [0]
+
+        def stdin():
+            for line in lines:
+                read[0] += 1
+                yield line + "\n"
+
+        class Pipe(io.RawIOBase):
+            """A pipe's far end: what arrives, and how many lines had been read by then."""
+
+            def __init__(self):
+                self.blocks = []
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.blocks.append((read[0], bytes(b).decode("ascii")))
+                return len(b)
+
+        pipe = Pipe()
+        with io.TextIOWrapper(io.BufferedWriter(pipe), encoding="ascii") as out:
+            monkeypatch.setattr(sys, "stdin", stdin())
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["energies"]) == 0
+            # one block per window of 1, 2, 4 and the last 3 graphs
+            assert [lines_read for lines_read, _ in pipe.blocks] == [1, 3, 7, 10]
+            rows = per_graph_rows(lines, False)
+            assert pipe.blocks[0][1] == "\n".join(rows[:2]) + "\n"
+            assert "".join(text for _, text in pipe.blocks) == "\n".join(rows) + "\n"
+
+    def test_an_order_above_the_dense_cap_stops_its_window(self, capsys, monkeypatch):
+        # windows of 1, 2 and 4 graphs: the order-7 graph is in the third window,
+        # so the order-3 graph before it in that window prints no row
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 6)
+        lines = [TRIANGLE, K4, C5, TRIANGLE, "F~~~w", K4]
+        code, out, err = run(capsys, "energies", *(a for line in lines for a in ("--g6", line)))
+        assert code == 1 and out == per_graph_rows(lines[:3], False)
+        assert err == "sqenergy: error: order 7 exceeds the dense matrix cap of 6 vertices\n"
 
 
 class TestScan:

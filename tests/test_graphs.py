@@ -74,6 +74,9 @@ class TestGraphBasics:
         assert path_graph(4).adjacency_matrix().shape == (4, 4)
         with pytest.raises(ValueError, match="order 5 exceeds the dense matrix cap of 4"):
             path_graph(5).adjacency_matrix()
+        # the one check, shared with the stacked spectra
+        with pytest.raises(ValueError, match="order 5 exceeds the dense matrix cap of 4"):
+            graphs_module._unpack_rows([path_graph(5), cycle_graph(5)], 5)
 
     def test_bits_ascending(self):
         assert list(bits(0)) == []

@@ -12,6 +12,8 @@ from conftest import compensated_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqenergy.graphs as graphs_module
+import sqenergy.spectral as spectral_module
 from sqenergy.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -31,6 +33,7 @@ from sqenergy.spectral import (
     graph_profile,
     perron_vector,
     rank_exact,
+    spectra,
     spectra_and_ranks,
     spectrum_from_values,
     zero_tolerance,
@@ -439,3 +442,58 @@ class TestSpectraAndRanks:
         (s0, r0), (s1, r1) = spectra_and_ranks([from_edges(0, []), big])
         assert (s0, r0) == (Spectrum((), ZERO_TOL_FLOOR), None)
         assert (s1, r1) == (eigenvalues(big), None)
+
+
+def _bits(spectrum: Spectrum) -> tuple:
+    return tuple(v.hex() for v in spectrum.values), spectrum.zero_tol.hex()
+
+
+class TestSpectra:
+    """The spectra-only stacked path against the per-graph eigenvalues."""
+
+    @staticmethod
+    def mixed_orders() -> list:
+        rng = random.Random(20261020)
+        orders = [0, 1, 2, 65, 70] + [rng.randint(8, 40) for _ in range(300)] + [70, 2, 65, 0]
+        rng.shuffle(orders)
+        return [_random_graph(rng, n, rng.uniform(0.1, 0.6)) for n in orders]
+
+    def test_bit_for_bit_the_per_graph_spectra(self):
+        corpus = self.mixed_orders()
+        want = [_bits(eigenvalues(g)) for g in corpus]
+        assert [_bits(s) for s in spectra(corpus)] == want
+        for k in (1, 3, 64, 256):  # the stream cut into windows of k graphs
+            got = [_bits(s) for lo in range(0, len(corpus), k) for s in spectra(corpus[lo : lo + k])]
+            assert got == want, k
+        assert [_bits(s) for s, _ in spectra_and_ranks(corpus)] == want
+        assert spectra([]) == []
+
+    def test_one_eigvalsh_per_order_and_no_stack_above_the_exact_cap(self, monkeypatch):
+        corpus = self.mixed_orders()
+        big = [g.n for g in corpus if g.n > EXACT_ORDER_CAP]
+        small = {g.n for g in corpus if g.n <= EXACT_ORDER_CAP}
+        shapes = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        for stacked in (spectra, spectra_and_ranks):
+            shapes.clear()
+            stacked(corpus)
+            stacks = [s for s in shapes if len(s) == 3]
+            assert sorted(s[1] for s in stacks) == sorted(small)
+            assert sum(s[0] for s in stacks) == len(corpus) - len(big)
+            assert sorted(s for s in shapes if len(s) == 2) == [(n, n) for n in sorted(big)]
+
+    def test_no_ranks_are_computed(self, monkeypatch):
+        def no_ranks(a):
+            raise AssertionError("spectra ranked a stack")
+
+        monkeypatch.setattr(spectral_module, "_bareiss_ranks", no_ranks)
+        corpus = [complete_graph(n) for n in (1, 5, 22)]
+        assert spectra(corpus) == [eigenvalues(g) for g in corpus]
+
+    def test_the_dense_cap_is_read_when_called(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
+        assert spectra([path_graph(4)]) == [eigenvalues(path_graph(4))]
+        for solve in (spectra, spectra_and_ranks):
+            with pytest.raises(ValueError, match="^order 5 exceeds the dense matrix cap of 4 vertices$"):
+                solve([path_graph(3), path_graph(5)])
