@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import stat
@@ -37,10 +36,10 @@ from .partitions import (
 )
 from .spectral import energy_profile, spectra
 from .survey import (
-    _CORPUS_CHUNK,
     SurveyRecord,
     _certified,
     _check_threads,
+    _windows,
     leaf_increment_profile,
     survey,
 )
@@ -136,34 +135,12 @@ def _parse_n_range(text: str) -> list[int]:
 ENERGIES_CSV_HEADER = "graph6,n,m,s_plus,s_minus,energy,positive,zero,negative"
 
 
-def _windows(items: Iterator) -> Iterator[list]:
-    """``items`` in lists of 1, 2, 4, ... up to _CORPUS_CHUNK at a time.
-
-    When reading an item raises, the items read before it come out as a
-    last list, and the error is raised after it.
-    """
-    size = 1
-    while True:
-        window = []
-        try:
-            for item in itertools.islice(items, size):
-                window.append(item)
-        except Exception:
-            if window:
-                yield window
-            raise
-        if not window:
-            return
-        yield window
-        size = min(2 * size, _CORPUS_CHUNK)
-
-
 def _cmd_energies(args: argparse.Namespace, out: IO[str]) -> int:
     """One row per input graph, in input order.
 
-    The input is solved in windows that double from one graph up to
-    _CORPUS_CHUNK, each by one ``spectra`` call, and ``out`` is flushed
-    after each window: a reader sees the first row after one graph.
+    The input is solved in ``survey._windows``, each by one ``spectra``
+    call, and ``out`` is flushed after each window: a reader sees the
+    first row after one graph.
     """
     graphs = _input_graphs(args)
     if not args.json:
@@ -192,40 +169,43 @@ def _parse_rules(text: Optional[str]) -> Optional[list[str]]:
 
 
 def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
+    """Certificates and verdict per input graph, in input order; read,
+    solved and flushed window by window as ``energies`` is."""
     rules = _parse_rules(args.rules)
-    inputs, graphs = itertools.tee(_input_graphs(args))
-    solved = _certified((g for _, g in graphs), rules)
-    for (g6, g), (facts, certs, plus_ok, minus_ok) in zip(inputs, solved):
-        prof = facts.profile
-        floor = g.n - 1
-        if args.json:
-            record = {
-                "graph6": g6,
-                "n": g.n,
-                "s_plus": prof.s_plus,
-                "s_minus": prof.s_minus,
-                "floor": floor,
-                "certificates": [c.to_json_dict() for c in certs],
-            }
-            print(_json(record), file=out)
-            continue
-        for c in certs:
-            status = "conclusive" if c.conclusive else "inconclusive"
+    for window in _windows(_input_graphs(args)):
+        solved = _certified([g for _, g in window], rules)
+        for (g6, g), (facts, certs, plus_ok, minus_ok) in zip(window, solved):
+            prof = facts.profile
+            floor = g.n - 1
+            if args.json:
+                record = {
+                    "graph6": g6,
+                    "n": g.n,
+                    "s_plus": prof.s_plus,
+                    "s_minus": prof.s_minus,
+                    "floor": floor,
+                    "certificates": [c.to_json_dict() for c in certs],
+                }
+                print(_json(record), file=out)
+                continue
+            for c in certs:
+                status = "conclusive" if c.conclusive else "inconclusive"
+                print(
+                    f"{g6} rule={c.rule} target={c.target} bound={_fmt(c.bound_value)} {status}",
+                    file=out,
+                )
+            certified = {
+                (True, True): "both",
+                (True, False): "s_plus",
+                (False, True): "s_minus",
+                (False, False): "none",
+            }[(plus_ok, minus_ok)]
             print(
-                f"{g6} rule={c.rule} target={c.target} bound={_fmt(c.bound_value)} {status}",
+                f"{g6} verdict s_plus={_fmt(prof.s_plus)} s_minus={_fmt(prof.s_minus)} "
+                f"floor={floor} certified={certified}",
                 file=out,
             )
-        certified = {
-            (True, True): "both",
-            (True, False): "s_plus",
-            (False, True): "s_minus",
-            (False, False): "none",
-        }[(plus_ok, minus_ok)]
-        print(
-            f"{g6} verdict s_plus={_fmt(prof.s_plus)} s_minus={_fmt(prof.s_minus)} "
-            f"floor={floor} certified={certified}",
-            file=out,
-        )
+        out.flush()
     return 0
 
 

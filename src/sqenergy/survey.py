@@ -9,7 +9,6 @@ can never silently hide a counterexample.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # s_plus vs s_minus, and each minimum vs its ties
-_CORPUS_CHUNK = 256  # graphs _certified solves at a time
+_CORPUS_CHUNK = 256  # the largest window a stacked corpus pass solves at once
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,8 @@ def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyReco
         return map(_record, graphs)
 
     def run() -> Iterator[SurveyRecord]:
-        with multiprocessing.Pool(threads) as pool:
+        # spawn, not the platform's fork: numpy's BLAS may already run threads
+        with multiprocessing.get_context("spawn").Pool(threads) as pool:
             yield from pool.imap(_record, graphs, chunksize=64)
 
     return run()
@@ -246,26 +246,43 @@ class CoverageReport:
     min_slack: float
 
 
-def _certified(
-    graphs: Iterable[Graph], rules: Optional[Iterable[str]]
-) -> Iterator[tuple]:
-    """``(facts, certificates, plus_ok, minus_ok)`` per graph: its
-    ``GraphFacts``, ``certify``'s list, and whether those certificates
+def _windows(items: Iterable) -> Iterator[list]:
+    """``items`` in lists of 1, 2, 4, ... up to _CORPUS_CHUNK at a time.
+
+    When reading an item raises, the items read before it come out as a
+    last list, and the error is raised after it.
+    """
+    window, size = [], 1
+    try:
+        for item in items:
+            window.append(item)
+            if len(window) == size:
+                yield window
+                window, size = [], min(2 * size, _CORPUS_CHUNK)
+    except Exception:
+        if window:
+            yield window
+        raise
+    if window:
+        yield window
+
+
+def _certified(window: list[Graph], rules: Optional[Iterable[str]]) -> Iterator[tuple]:
+    """``(facts, certificates, plus_ok, minus_ok)`` per graph of ``window``:
+    its ``GraphFacts``, ``certify``'s list, and whether those certificates
     prove the n - 1 floor for s_plus and for s_minus.
 
-    The stream is read 256 graphs at a time, and each chunk's spectra
-    and exact ranks are solved together by ``spectra_and_ranks``.
+    The window's spectra and exact ranks are solved by one
+    ``spectra_and_ranks`` call.
     """
-    it = iter(graphs)
-    while chunk := list(itertools.islice(it, _CORPUS_CHUNK)):
-        for g, (spectrum, rank) in zip(chunk, spectra_and_ranks(chunk)):
-            facts = _solved_facts(g, spectrum, rank)
-            certs = certify(facts, rules=rules)
-            plus_ok = minus_ok = False
-            for c in certs:
-                plus_ok = plus_ok or c.covers("s_plus")
-                minus_ok = minus_ok or c.covers("s_minus")
-            yield facts, certs, plus_ok, minus_ok
+    for g, (spectrum, rank) in zip(window, spectra_and_ranks(window)):
+        facts = _solved_facts(g, spectrum, rank)
+        certs = certify(facts, rules=rules)
+        plus_ok = minus_ok = False
+        for c in certs:
+            plus_ok = plus_ok or c.covers("s_plus")
+            minus_ok = minus_ok or c.covers("s_minus")
+        yield facts, certs, plus_ok, minus_ok
 
 
 def certify_corpus(
@@ -273,9 +290,9 @@ def certify_corpus(
 ) -> CoverageReport:
     """Run the certificate pipeline over a corpus and tally coverage.
 
-    The corpus is read 256 graphs at a time, and each chunk's spectra
-    and exact ranks are solved together by ``spectra_and_ranks``.
-    Unknown rule names raise ValueError before any graph is read.
+    The corpus is read in ``_windows``, each solved by one
+    ``spectra_and_ranks`` call.  Unknown rule names raise ValueError
+    before any graph is read.
     """
     rules = _wanted_rules(rules)
     fired = {r: 0 for r in CERTIFY_RULES}
@@ -284,18 +301,19 @@ def certify_corpus(
     covered_plus = covered_minus = covered_both = 0
     uncovered: list[str] = []
     min_slack = math.inf
-    for facts, certs, plus_ok, minus_ok in _certified(graphs, rules):
-        total += 1
-        prof = facts.profile
-        min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (facts.graph.n - 1))
-        for cert in certs:
-            fired[cert.rule] += 1
-            conclusive[cert.rule] += cert.conclusive
-        covered_plus += plus_ok
-        covered_minus += minus_ok
-        covered_both += plus_ok and minus_ok
-        if not (plus_ok and minus_ok):
-            uncovered.append(to_graph6(facts.graph))
+    for window in _windows(graphs):
+        for facts, certs, plus_ok, minus_ok in _certified(window, rules):
+            total += 1
+            prof = facts.profile
+            min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (facts.graph.n - 1))
+            for cert in certs:
+                fired[cert.rule] += 1
+                conclusive[cert.rule] += cert.conclusive
+            covered_plus += plus_ok
+            covered_minus += minus_ok
+            covered_both += plus_ok and minus_ok
+            if not (plus_ok and minus_ok):
+                uncovered.append(to_graph6(facts.graph))
     return CoverageReport(
         total=total,
         per_rule={r: RuleCoverage(fired[r], conclusive[r]) for r in CERTIFY_RULES},

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -226,17 +228,58 @@ def mixed_orders(tmp_path_factory):
     return path, lines
 
 
-class TestCertifyChunks:
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_a_chunked_run_prints_what_one_graph_runs_do(self, flags, capsys, mixed_orders):
-        path, lines = mixed_orders
-        assert main(["certify", *flags, str(path)]) == 0
-        whole = capsys.readouterr().out
-        single = []
+@pytest.fixture(scope="module")
+def certify_alone(mixed_orders):
+    """What ``certify`` prints for each of ``mixed_orders``' lines on its own, by flags."""
+    outputs = {}
+    for flags in ((), ("--json",)):
+        outputs[flags] = []
+        for line in mixed_orders[1]:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["certify", *flags, "--g6", line]) == 0
+            outputs[flags].append(out.getvalue())
+    return outputs
+
+
+def pipe_blocks(monkeypatch, argv, lines) -> list[tuple[int, str]]:
+    """Run ``main(argv)`` on ``lines`` as standard input, with standard output a
+    pipe behind a buffered writer; the blocks that reach the pipe's far end."""
+    read = [0]
+
+    def stdin():
         for line in lines:
-            assert main(["certify", *flags, "--g6", line]) == 0
-            single.append(capsys.readouterr().out)
-        assert whole == "".join(single)
+            read[0] += 1
+            yield line + "\n"
+
+    class Pipe(io.RawIOBase):
+        """A pipe's far end: what arrives, and how many lines had been read by then."""
+
+        def __init__(self):
+            self.blocks = []
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            self.blocks.append((read[0], bytes(b).decode("ascii")))
+            return len(b)
+
+    pipe = Pipe()
+    with io.TextIOWrapper(io.BufferedWriter(pipe), encoding="ascii") as out:
+        monkeypatch.setattr(sys, "stdin", stdin())
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+    return pipe.blocks
+
+
+class TestCertifyChunks:
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_a_chunked_run_prints_what_one_graph_runs_do(
+        self, flags, capsys, mixed_orders, certify_alone
+    ):
+        path, _ = mixed_orders
+        assert main(["certify", *flags, str(path)]) == 0
+        assert capsys.readouterr().out == "".join(certify_alone[flags])
 
     def test_certificates_match_the_single_graph_path(self, capsys, mixed_orders):
         path, lines = mixed_orders
@@ -249,7 +292,7 @@ class TestCertifyChunks:
 
     @pytest.mark.parametrize("bad_line", [257, 300])
     def test_a_bad_line_after_the_first_chunk_stops_the_run(
-        self, bad_line, capsys, mixed_orders, tmp_path
+        self, bad_line, capsys, mixed_orders, certify_alone, tmp_path
     ):
         _, lines = mixed_orders
         src = tmp_path / "bad.g6"
@@ -260,10 +303,34 @@ class TestCertifyChunks:
         assert (code, out) == (1, []) and f"{src}, line {bad_line}:" in err
         assert dest.read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.g6", "out.txt"]
-        # on stdout, the first chunk is printed and nothing of the second
-        code, out, _ = run(capsys, "certify", str(src))
-        _, first, _ = run(capsys, "certify", *(a for line in lines[:256] for a in ("--g6", line)))
-        assert code == 1 and out == first
+        # on stdout, every graph before the bad line is printed
+        assert main(["certify", str(src)]) == 1
+        assert capsys.readouterr().out == "".join(certify_alone[()][: bad_line - 1])
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    @pytest.mark.parametrize("bad_line", [2, 5, 257, 300])
+    def test_a_bad_line_prints_every_graph_before_it(
+        self, bad_line, flags, capsys, mixed_orders, certify_alone, tmp_path
+    ):
+        # windows hold lines 1, 2-3, 4-7, ..., 128-255, then 256 lines each
+        good = mixed_orders[1][: bad_line - 1]
+        src = tmp_path / "bad.g6"
+        src.write_text("".join(line + "\n" for line in good) + "zz\n")
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6("zz")
+        assert main(["certify", *flags, str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "".join(certify_alone[flags][: bad_line - 1])
+        assert captured.err == f"sqenergy: error: {src}, line {bad_line}: {exc.value}\n"
+
+    def test_the_first_graph_is_out_after_one_graph(
+        self, monkeypatch, mixed_orders, certify_alone
+    ):
+        blocks = pipe_blocks(monkeypatch, ["certify"], mixed_orders[1][:10])
+        # one block per window of 1, 2, 4 and the last 3 graphs
+        assert [lines_read for lines_read, _ in blocks] == [1, 3, 7, 10]
+        assert blocks[0][1] == certify_alone[()][0]
+        assert "".join(text for _, text in blocks) == "".join(certify_alone[()][:10])
 
 
 @pytest.fixture(scope="module")
@@ -325,36 +392,12 @@ class TestEnergiesWindows:
 
     def test_the_first_row_is_out_after_one_graph(self, monkeypatch, energies_lines):
         lines = energies_lines[1][:10]
-        read = [0]
-
-        def stdin():
-            for line in lines:
-                read[0] += 1
-                yield line + "\n"
-
-        class Pipe(io.RawIOBase):
-            """A pipe's far end: what arrives, and how many lines had been read by then."""
-
-            def __init__(self):
-                self.blocks = []
-
-            def writable(self):
-                return True
-
-            def write(self, b):
-                self.blocks.append((read[0], bytes(b).decode("ascii")))
-                return len(b)
-
-        pipe = Pipe()
-        with io.TextIOWrapper(io.BufferedWriter(pipe), encoding="ascii") as out:
-            monkeypatch.setattr(sys, "stdin", stdin())
-            monkeypatch.setattr(sys, "stdout", out)
-            assert main(["energies"]) == 0
-            # one block per window of 1, 2, 4 and the last 3 graphs
-            assert [lines_read for lines_read, _ in pipe.blocks] == [1, 3, 7, 10]
-            rows = per_graph_rows(lines, False)
-            assert pipe.blocks[0][1] == "\n".join(rows[:2]) + "\n"
-            assert "".join(text for _, text in pipe.blocks) == "\n".join(rows) + "\n"
+        blocks = pipe_blocks(monkeypatch, ["energies"], lines)
+        # one block per window of 1, 2, 4 and the last 3 graphs
+        assert [lines_read for lines_read, _ in blocks] == [1, 3, 7, 10]
+        rows = per_graph_rows(lines, False)
+        assert blocks[0][1] == "\n".join(rows[:2]) + "\n"
+        assert "".join(text for _, text in blocks) == "\n".join(rows) + "\n"
 
     def test_an_order_above_the_dense_cap_stops_its_window(self, capsys, monkeypatch):
         # windows of 1, 2 and 4 graphs: the order-7 graph is in the third window,
@@ -610,7 +653,7 @@ class TestParser:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", no_pool)
 
     @pytest.mark.parametrize("subcommand", ["scan", "unicyclic-min"])
     @pytest.mark.parametrize("threads", ["0", "3", "100000"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -77,6 +78,16 @@ class TestSurvey:
         multi = survey(enumerate_connected(6), threads=2)
         assert single == multi
 
+    def test_the_pool_starts_its_workers_without_fork(self, monkeypatch):
+        # fork copies a process whose BLAS may already run threads
+        def no_fork():
+            raise AssertionError("the survey pool forked")
+
+        single = survey(enumerate_connected(6), threads=1)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.fork", no_fork)
+        assert survey(enumerate_connected(6), threads=2) == single
+
     @pytest.mark.parametrize("threads", [0, -3, 3])
     def test_threads_outside_the_cpu_count_are_rejected_before_any_graph(
         self, monkeypatch, threads
@@ -89,7 +100,7 @@ class TestSurvey:
             yield
 
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", no_pool)
         with pytest.raises(
             ValueError, match=rf"^threads must be between 1 and 2 \(the CPU count\), got {threads}$"
         ):
@@ -183,6 +194,17 @@ class TestStackedCoverage:
         for chunk in (1, 5):
             monkeypatch.setattr(survey_module, "_CORPUS_CHUNK", chunk)
             assert certify_corpus(corpus) == whole
+
+    @pytest.mark.parametrize("k", [1, 3, 300])
+    def test_an_error_of_the_corpus_itself_is_raised(self, k):
+        # k = 300 fails inside the first full window (256-511)
+        def corpus():
+            for i in range(k):
+                yield path_graph(1 + i % 6)
+            raise RuntimeError("corpus broke")
+
+        with pytest.raises(RuntimeError, match="^corpus broke$"):
+            certify_corpus(corpus())
 
     def test_no_per_graph_eigensolve_or_rank(self, monkeypatch, small_corpus):
         def refuse(g):
