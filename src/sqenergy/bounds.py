@@ -240,7 +240,7 @@ def check_avg_degree(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
     f = _facts(g)
     if not f.stats.connected:
         raise ValueError("average degree bound assumes a connected graph")
-    n, m = f.stats.n, f.stats.m
+    n, m = f.graph.n, f.stats.m
     if n == 0 or 4 * m * m < n * n * (n - 1):
         return None
     dbar = 2.0 * m / n
@@ -728,9 +728,9 @@ def majorization_two_positive(g: Graph | GraphFacts) -> Optional[BoundCertificat
     return _certificate(
         "two_positive",
         "s_plus",
-        st.n - 1,
+        f.graph.n - 1,
         {"positive_count": 2, "edge_count": st.m},
-        st.n,
+        f.graph.n,
     )
 
 

@@ -111,8 +111,8 @@ def _single_graph(args: argparse.Namespace) -> tuple[str, Graph]:
     return graphs[0]
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """Parse "8", "2-8" or "2..8" into an inclusive list of orders."""
+def _parse_n_range(text: str) -> range:
+    """Parse "8", "2-8" or "2..8" into an inclusive range of orders."""
     for sep in ("..", "-"):
         if sep in text.lstrip("-"):
             lo_text, hi_text = text.split(sep, 1)
@@ -122,11 +122,12 @@ def _parse_n_range(text: str) -> list[int]:
                 raise UsageError(f"bad order range {text!r}") from None
             if lo > hi:
                 raise UsageError(f"empty order range {text!r}")
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
     try:
-        return [int(text)]
+        n = int(text)
     except ValueError:
         raise UsageError(f"bad order {text!r}") from None
+    return range(n, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +338,7 @@ M0_CSV_HEADER = "n,m0"
 
 def _cmd_m0_curve(args: argparse.Namespace, out: IO[str]) -> int:
     orders = _parse_n_range(args.n)
-    bad = [n for n in orders if n < 3]
-    if bad:
+    if orders[0] < 3:
         raise UsageError("m0 threshold needs n >= 3")
     if not args.json:
         print(M0_CSV_HEADER, file=out)
@@ -508,6 +508,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"sqenergy: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("sqenergy: error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -406,13 +406,10 @@ def _inside_edges(g: Graph, mask: int) -> int:
 
 @dataclass(frozen=True)
 class GraphStats:
-    n: int
     m: int
-    avg_degree: float
     max_degree: int
     connected: bool
     bipartite: bool
-    bipartition: tuple[int, ...] | None  # 2-colouring when bipartite
 
 
 @dataclass(frozen=True)
@@ -421,41 +418,31 @@ class CactusProfile:
     # cyclic vertex walks, each from its smallest vertex toward its
     # smaller neighbour, sorted by (length, walk)
     cycles: tuple[tuple[int, ...], ...]
-    odd_count: int
-    even_count: int
 
 
 def stats(g: Graph) -> GraphStats:
-    """Order, size, degree summary, connectivity and bipartiteness.
+    """Size, maximum degree, connectivity and bipartiteness.
 
-    Each vertex is coloured by the parity of its breadth-first layer; the
-    graph is bipartite iff no edge lies inside a layer.
+    A graph is bipartite iff no edge lies inside a breadth-first layer.
     """
     return _stats(g, _layers(g))
 
 
 def _stats(g: Graph, comps: list[list[int]]) -> GraphStats:
     """``stats`` of g from its breadth-first layers ``comps`` (``_layers(g)``)."""
-    n = g.n
     rows = g.rows
     degrees = [r.bit_count() for r in rows]
-    m = sum(degrees) // 2
-    color = [0] * n
     bipartite = True
     for layers in comps:
-        for i, layer in enumerate(layers):
+        for layer in layers:
             for u in bits(layer):
                 if rows[u] & layer:
                     bipartite = False
-                color[u] = i & 1
     return GraphStats(
-        n=n,
-        m=m,
-        avg_degree=2.0 * m / n if n else 0.0,
+        m=sum(degrees) // 2,
         max_degree=max(degrees, default=0),
         connected=len(comps) <= 1,
         bipartite=bipartite,
-        bipartition=tuple(color) if bipartite else None,
     )
 
 
@@ -475,13 +462,12 @@ def _cactus(g: Graph, comps: list[list[int]], m: int) -> CactusProfile:
     if len(comps) != 1:
         raise ValueError("cactus profile requires a connected graph")
     if m > 3 * (g.n - 1) // 2:  # more edges than any cactus of this order
-        return CactusProfile(False, (), 0, 0)
+        return CactusProfile(False, ())
     cycles = _fundamental_cycles(g, comps[0])
     if cycles is None:
-        return CactusProfile(False, (), 0, 0)
+        return CactusProfile(False, ())
     cycles.sort(key=lambda c: (len(c), c))
-    odd = sum(1 for c in cycles if len(c) % 2)
-    return CactusProfile(True, tuple(cycles), odd, len(cycles) - odd)
+    return CactusProfile(True, tuple(cycles))
 
 
 def _fundamental_cycles(g: Graph, layers: list[int]) -> list[tuple[int, ...]] | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -138,8 +139,10 @@ def survey(
     (plus any ties within ``TIE_TOL``).  ``record_sink`` receives every
     per-graph record as it is produced.  ``threads`` > 1 fans the
     eigensolves out over processes, preserving order and determinism;
-    it must lie between 1 and the CPU count, which is checked before any
-    graph is read.  Mixed orders in one stream are an error.
+    it must lie between 1 and the CPU count, and its workers must be able
+    to import the calling script (not one read from standard input); both
+    are checked before any graph is read.  Mixed orders in one stream are
+    an error.
     """
     _check_threads(threads)
     records = _record_stream(graphs, threads)
@@ -201,6 +204,12 @@ def _check_threads(threads: int) -> None:
 def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyRecord]:
     if threads == 1:
         return map(_record, graphs)
+    # a spawned worker re-imports __main__ by its module name or else from
+    # its __file__; the pool would replace workers dying on "<stdin>" forever
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
+        raise ValueError(f"threads > 1 needs a __main__ that workers can import, not {path!r}")
 
     def run() -> Iterator[SurveyRecord]:
         # spawn, not the platform's fork: numpy's BLAS may already run threads

@@ -480,6 +480,14 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--n", "11")
         assert code == 1 and err.startswith("sqenergy: error:")
 
+    def test_a_range_too_long_to_list_stops_at_the_first_order_past_the_cap(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
+        code, out, err = run(capsys, "scan", "--n", f"1-{10**20}")
+        assert (code, out) == (1, [])
+        assert err == "sqenergy: error: connected enumeration supports 1 <= n <= 10, got 11\n"
+
 
 class TestUnicyclicMin:
     def test_survey_row(self, capsys):
@@ -497,6 +505,12 @@ class TestUnicyclicMin:
     def test_order_cap_is_checked_before_any_order_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
         code, out, err = run(capsys, "unicyclic-min", "--n", "12-19")
+        assert (code, out) == (1, [])
+        assert err == "sqenergy: error: unicyclic enumeration capped at n <= 18\n"
+
+    def test_a_range_too_long_to_list_is_checked_up_to_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration_module, "canonical_pair", _no_search)
+        code, out, err = run(capsys, "unicyclic-min", "--n", f"3-{10**20}")
         assert (code, out) == (1, [])
         assert err == "sqenergy: error: unicyclic enumeration capped at n <= 18\n"
 
@@ -634,6 +648,11 @@ class TestM0Curve:
     def test_too_small_order(self, capsys):
         code, _, err = run(capsys, "m0-curve", "--n", "2")
         assert code == 2 and "n >= 3" in err
+
+    def test_too_small_start_of_a_range_too_long_to_list(self, capsys):
+        code, out, err = run(capsys, "m0-curve", "--n", f"2-{10**20}")
+        assert (code, out) == (2, [])
+        assert err == "sqenergy: usage error: m0 threshold needs n >= 3\n"
 
 
 class TestParser:
@@ -815,6 +834,23 @@ class TestRejectedRunKeepsOutput:
         assert (code, out, err) == (want_code, [], want_err)
         assert dest.read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.g6", "out.csv"]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_out_of_memory_is_one_line_and_keeps_the_output(
+        self, to_file, capsys, monkeypatch, tmp_path
+    ):
+        def no_memory(a):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_memory)
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"kept\n")
+        argv = ["energies", "--g6", TRIANGLE] + (["-o", str(dest)] if to_file else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "sqenergy: error: out of memory\n")
+        assert out == ([] if to_file else [ENERGIES_CSV_HEADER])
+        assert dest.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
     @pytest.mark.parametrize("subcommand", ["energies", "leaf-profile"])
     def test_bad_first_line_keeps_the_output(self, subcommand, capsys, tmp_path):

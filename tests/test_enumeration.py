@@ -205,7 +205,7 @@ class TestUnicyclic:
             assert st.connected and not st.bipartite
             assert g.m == g.n  # exactly one cycle
             prof = cactus_profile(g)
-            assert prof.is_cactus and prof.odd_count == 1 and prof.even_count == 0
+            assert prof.is_cactus and [len(c) % 2 for c in prof.cycles] == [1]
 
     def test_distinct_canonical_forms(self):
         keys = [canonical_form(g) for g in enumerate_unicyclic_nonbipartite(9)]
@@ -233,7 +233,7 @@ class TestUnicyclic:
                 assert all(g.rows[u] >> v & 1 == g.rows[v] >> u & 1 for u in range(n) for v in range(n))
                 assert stats(g).connected
                 prof = cactus_profile(g)
-                assert prof.odd_count == 1 and prof.even_count == 0 and len(prof.cycles[0]) == c
+                assert [len(cyc) % 2 for cyc in prof.cycles] == [1] and len(prof.cycles[0]) == c
                 keys.add(canonical_form(g))
             assert len(keys) == unicyclic_class_count(n, c)
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 import importlib
 import math
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,22 @@ class TestSurvey:
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr("os.fork", no_fork)
         assert survey(enumerate_connected(6), threads=2) == single
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for threads=2")
+    def test_a_script_on_stdin_is_rejected_before_the_pool_starts(self):
+        # its workers could not re-import "<stdin>"; the pool would replace them without end
+        script = (
+            "from sqenergy import enumerate_connected, survey\n"
+            "survey(enumerate_connected(4), threads=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(survey_module.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-"], input=script, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ValueError: threads > 1 needs a __main__ that workers can import, not '<stdin>'"
+        )
 
     @pytest.mark.parametrize("threads", [0, -3, 3])
     def test_threads_outside_the_cpu_count_are_rejected_before_any_graph(
