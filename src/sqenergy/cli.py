@@ -26,7 +26,7 @@ from .enumeration import (
     enumerate_unicyclic_nonbipartite,
 )
 from .families import FAMILIES, generate_family
-from .graphs import Graph, Graph6Error, read_graph6_lines, to_graph6
+from .graphs import Graph, Graph6Error, _g6_graph, _read_g6_payloads, to_graph6
 from .partitions import (
     Partition,
     coarsest_equitable_refinement,
@@ -34,7 +34,7 @@ from .partitions import (
     quotient_eigenvalues,
     quotient_matrix,
 )
-from .spectral import energy_profile, spectra
+from .spectral import _g6_spectra, energy_profile
 from .survey import (
     SurveyRecord,
     _certified,
@@ -79,13 +79,14 @@ def _record(header: str, values: tuple, as_json: bool) -> str:
 # graph input
 
 
-def _decode_file(fh: IO[str], path: str) -> Iterator[tuple[str, Graph]]:
+def _decode_file(fh: IO[str], path: str) -> Iterator[tuple[str, int, int]]:
     with fh:
-        yield from read_graph6_lines(fh, path)
+        yield from _read_g6_payloads(fh, path)
 
 
-def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
-    """Each input graph with the text to echo for it.
+def _input_payloads(args: argparse.Namespace) -> Iterator[tuple[str, int, int]]:
+    """Each input graph's graph6 payload ``(text, n, x)``, with the text
+    to echo for it (see ``graphs._read_g6_payloads``).
 
     The file-or-``--g6`` conflict and a missing input file raise here,
     before the caller writes anything.
@@ -98,10 +99,15 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
         for k, text in enumerate(args.g6, start=1):
             if not text.strip():
                 raise Graph6Error(f"--g6, line {k}: blank graph6 string")
-        return read_graph6_lines(args.g6, "--g6")
+        return _read_g6_payloads(args.g6, "--g6")
     if args.input:
         return _decode_file(open(args.input, "r", encoding="ascii"), args.input)
-    return read_graph6_lines(sys.stdin, "<stdin>")
+    return _read_g6_payloads(sys.stdin, "<stdin>")
+
+
+def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
+    """Each input graph with the text to echo for it; errors as ``_input_payloads``."""
+    return ((text, _g6_graph(n, x)) for text, n, x in _input_payloads(args))
 
 
 def _single_graph(args: argparse.Namespace) -> tuple[str, Graph]:
@@ -139,18 +145,19 @@ ENERGIES_CSV_HEADER = "graph6,n,m,s_plus,s_minus,energy,positive,zero,negative"
 def _cmd_energies(args: argparse.Namespace, out: IO[str]) -> int:
     """One row per input graph, in input order.
 
-    The input is solved in ``survey._windows``, each by one ``spectra``
-    call, and ``out`` is flushed after each window: a reader sees the
-    first row after one graph.
+    The input is read as graph6 payloads, with no ``Graph`` built, and
+    solved in ``survey._windows``, each by one ``spectral._g6_spectra``
+    call; ``out`` is flushed after each window: a reader sees the first
+    row after one graph.
     """
-    graphs = _input_graphs(args)
+    payloads = _input_payloads(args)
     if not args.json:
         print(ENERGIES_CSV_HEADER, file=out)
-    for window in _windows(graphs):
-        for (g6, g), spectrum in zip(window, spectra([g for _, g in window])):
+    for window in _windows(payloads):
+        for (g6, n, x), spectrum in zip(window, _g6_spectra([(n, x) for _, n, x in window])):
             prof = energy_profile(spectrum)
             counts = (prof.inertia.positive, prof.inertia.zero, prof.inertia.negative)
-            row = (g6, g.n, g.m, prof.s_plus, prof.s_minus, prof.energy, *counts)
+            row = (g6, n, x.bit_count(), prof.s_plus, prof.s_minus, prof.energy, *counts)
             print(_record(ENERGIES_CSV_HEADER, row, args.json), file=out)
         out.flush()
     return 0

@@ -79,14 +79,16 @@ class Graph:
         return _unpack_rows((self,), self.n)[0].astype(float)
 
 
-def _unpack_rows(group: Sequence[Graph], n: int) -> np.ndarray:
-    """The 0/1 adjacency matrices of order-n graphs as a (k, n, n) uint8 stack.
-
-    The one check of DENSE_ORDER_CAP for adjacency matrices, single or
-    stacked: a larger order raises ValueError before anything is allocated.
-    """
+def _check_dense_order(n: int) -> None:
+    """The one check of DENSE_ORDER_CAP, read when called, for every dense
+    build: a larger order raises ValueError before anything is allocated."""
     if n > DENSE_ORDER_CAP:
         raise ValueError(f"order {n} exceeds the dense matrix cap of {DENSE_ORDER_CAP} vertices")
+
+
+def _unpack_rows(group: Sequence[Graph], n: int) -> np.ndarray:
+    """The 0/1 adjacency matrices of order-n graphs as a (k, n, n) uint8 stack."""
+    _check_dense_order(n)
     w = (n + 7) // 8  # row u as w little-endian bytes: bit v is entry (u, v)
     packed = b"".join([r.to_bytes(w, "little") for g in group for r in g.rows])
     table = np.frombuffer(packed, dtype=np.uint8).reshape(len(group) * n, w)
@@ -172,12 +174,11 @@ def _g6_header(text: str) -> tuple[int, int]:
     return c - 63, 1
 
 
-def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line (a trailing newline is tolerated).
+def _g6_payload(text: str) -> tuple[int, int]:
+    """Validate one graph6 line (a trailing newline is tolerated) into
+    ``(n, x)``, where bit k of the int x is graph6 bit k.
 
-    Bits of the upper triangle are read column by column: (0,1), (0,2),
-    (1,2), (0,3), ...  Raises :class:`Graph6Error` naming the byte offset
-    of the first problem.
+    Raises :class:`Graph6Error` naming the byte offset of the first problem.
     """
     if text.startswith(">>graph6<<"):
         text = text[10:]
@@ -201,6 +202,11 @@ def from_graph6(text: str) -> Graph:
     x = int("0" + bitstr[::-1], 2)  # bit k is graph6 bit k; "0" parses n < 2
     if x >> nbits:
         raise Graph6Error(f"nonzero padding bit (byte {pos + nchars - 1})")
+    return n, x
+
+
+def _g6_graph(n: int, x: int) -> Graph:
+    """The graph of a validated graph6 payload, mirrored into both triangles."""
     rows = [0] * n
     for v in range(1, n):
         rows[v] = col = x & ((1 << v) - 1)  # the next v bits: pairs (u, v), u < v
@@ -212,6 +218,34 @@ def from_graph6(text: str) -> Graph:
             col >>= 8
             base += 8
     return Graph(n, tuple(rows))
+
+
+def from_graph6(text: str) -> Graph:
+    """Decode one graph6 line (a trailing newline is tolerated).
+
+    Bits of the upper triangle are read column by column: (0,1), (0,2),
+    (1,2), (0,3), ...  Raises :class:`Graph6Error` naming the byte offset
+    of the first problem.
+    """
+    return _g6_graph(*_g6_payload(text))
+
+
+def _g6_lower_triangles(xs: Sequence[int], n: int) -> np.ndarray:
+    """The order-n graph6 payloads ``xs`` as a (k, n, n) float stack that
+    holds only the strict lower triangles, all ``eigvalsh`` reads.
+
+    ``np.tri(n, -1)`` walks that triangle row by row, (1,0), (2,0), (2,1),
+    (3,0), ..., which is graph6 order.
+    """
+    _check_dense_order(n)
+    nbits = n * (n - 1) // 2
+    w = (nbits + 7) // 8
+    packed = np.frombuffer(b"".join([x.to_bytes(w, "little") for x in xs]), dtype=np.uint8)
+    a = np.zeros((len(xs), n, n))
+    a[:, np.tri(n, k=-1, dtype=bool)] = np.unpackbits(
+        packed.reshape(len(xs), w), axis=1, count=nbits, bitorder="little"
+    )
+    return a
 
 
 def to_graph6(g: Graph) -> str:
@@ -235,6 +269,20 @@ def to_graph6(g: Graph) -> str:
     return head + six[: (nbits + 5) // 6].translate(_B64_TO_G6).decode("ascii")
 
 
+def _read_g6_payloads(lines: Iterable[str], source: str) -> Iterator[tuple[str, int, int]]:
+    """``read_graph6_lines`` without the graphs: ``(text, n, x)`` per line,
+    with ``(n, x)`` as :func:`_g6_payload` gives it."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            n, x = _g6_payload(text)
+        except Graph6Error as exc:
+            raise Graph6Error(f"{source}, line {lineno}: {exc}") from None
+        yield text.removeprefix(">>graph6<<"), n, x
+
+
 def read_graph6_lines(lines: Iterable[str], source: str = "<input>") -> Iterator[tuple[str, Graph]]:
     """Decode graph6 lines, skipping blank ones, into ``(text, graph)`` pairs.
 
@@ -243,15 +291,8 @@ def read_graph6_lines(lines: Iterable[str], source: str = "<input>") -> Iterator
     of the graph.  A bad line raises :class:`Graph6Error` located as
     ``"<source>, line k: ..."``, counting lines from 1.
     """
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            g = from_graph6(text)
-        except Graph6Error as exc:
-            raise Graph6Error(f"{source}, line {lineno}: {exc}") from None
-        yield text.removeprefix(">>graph6<<"), g
+    for text, n, x in _read_g6_payloads(lines, source):
+        yield text, _g6_graph(n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _unpack_rows, bits, component_masks
+from .graphs import Graph, _g6_lower_triangles, _unpack_rows, bits, component_masks
 
 __all__ = [
     "Spectrum",
@@ -31,7 +31,6 @@ __all__ = [
     "perron_vector",
     "char_poly_exact",
     "rank_exact",
-    "spectra",
     "spectra_and_ranks",
     "EXACT_ORDER_CAP",
 ]
@@ -100,6 +99,12 @@ def spectrum_from_values(values: Iterable[complex]) -> Spectrum:
 def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of g, non-increasing."""
     return _spectrum(np.linalg.eigvalsh(g.adjacency_matrix())[::-1].tolist())
+
+
+def _stack_spectra(a: np.ndarray) -> list[Spectrum]:
+    """The Spectrum of each symmetric float matrix of a (k, n, n) stack, by
+    one eigvalsh call; eigvalsh reads only the lower triangles."""
+    return [_spectrum(v) for v in np.linalg.eigvalsh(a)[:, ::-1].tolist()]
 
 
 def _spectrum(values: list[float]) -> Spectrum:
@@ -262,10 +267,12 @@ def rank_exact(g: Graph) -> int:
     return rank
 
 
-def spectra(graphs: Sequence[Graph]) -> list[Spectrum]:
-    """Each graph's spectrum, equal to ``eigenvalues(g)``, solved in the
-    same-order stacks of ``spectra_and_ranks`` but without ranks."""
-    return [spectrum for spectrum, _ in _stacked(graphs, ranked=False)]
+def _by_order(orders: Iterable[int]) -> dict[int, list[int]]:
+    """The positions of each order in ``orders``."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(orders):
+        groups.setdefault(n, []).append(i)
+    return groups
 
 
 def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[int]]]:
@@ -278,27 +285,42 @@ def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[
     ``eigenvalues`` per graph.  A caller that needs the rank of a graph
     left without one asks ``rank_exact``, up to its cap.
     """
-    return _stacked(graphs, ranked=True)
-
-
-def _stacked(graphs: Sequence[Graph], ranked: bool) -> list[tuple[Spectrum, Optional[int]]]:
-    """``spectra_and_ranks``, with every rank None unless ``ranked``."""
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
     out: list = [None] * len(graphs)
-    for n, idx in by_order.items():
+    for n, idx in _by_order(g.n for g in graphs).items():
         group = [graphs[i] for i in idx]
         ranks = [None] * len(group)
         if n <= EXACT_ORDER_CAP:
             a = _unpack_rows(group, n)
-            solved = [_spectrum(v) for v in np.linalg.eigvalsh(a.astype(float))[:, ::-1].tolist()]
-            if ranked and 0 < n <= _INT64_RANK_CAP:
+            solved = _stack_spectra(a.astype(float))
+            if 0 < n <= _INT64_RANK_CAP:
                 ranks = _bareiss_ranks(a).tolist()
         else:
             solved = [eigenvalues(g) for g in group]
         for i, spectrum, rank in zip(idx, solved, ranks):
             out[i] = (spectrum, rank)
+    return out
+
+
+def _g6_spectra(payloads: Sequence[tuple[int, int]]) -> list[Spectrum]:
+    """The spectrum of each graph6 payload ``(n, x)``, equal to
+    ``eigenvalues(from_graph6(text))``, with no graph built.
+
+    The stacks of ``spectra_and_ranks``, filled from the payloads' lower
+    triangles: one ``eigvalsh`` call per order up to 64, and one (n, n)
+    matrix at a time above it.
+    """
+    out: list = [None] * len(payloads)
+    for n, idx in _by_order(n for n, _ in payloads).items():
+        xs = [payloads[i][1] for i in idx]
+        if n <= EXACT_ORDER_CAP:
+            solved = _stack_spectra(_g6_lower_triangles(xs, n))
+        else:
+            solved = [
+                _spectrum(np.linalg.eigvalsh(_g6_lower_triangles([x], n)[0])[::-1].tolist())
+                for x in xs
+            ]
+        for i, spectrum in zip(idx, solved):
+            out[i] = spectrum
     return out
 
 

@@ -205,16 +205,22 @@ def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyReco
     if threads == 1:
         return map(_record, graphs)
     # a spawned worker re-imports __main__ by its module name or else from
-    # its __file__; the pool would replace workers dying on "<stdin>" forever
+    # its __file__; name the cause before workers die on "<stdin>"
     main = sys.modules["__main__"]
     path = getattr(main, "__file__", None)
     if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
         raise ValueError(f"threads > 1 needs a __main__ that workers can import, not {path!r}")
 
     def run() -> Iterator[SurveyRecord]:
-        # spawn, not the platform's fork: numpy's BLAS may already run threads
-        with multiprocessing.get_context("spawn").Pool(threads) as pool:
-            yield from pool.imap(_record, graphs, chunksize=64)
+        # imported here, where it is used: the module adds about 1.5 MB of RSS
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn, not the platform's fork: numpy's BLAS may already run threads;
+        # a worker that dies (say, re-running an unguarded survey call while
+        # it imports the script) raises BrokenProcessPool here
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(threads, mp_context=context) as pool:
+            yield from pool.map(_record, graphs, chunksize=64)
 
     return run()
 

@@ -8,7 +8,6 @@ import hashlib
 import importlib
 import io
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -23,6 +22,7 @@ from conftest import random_connected
 import sqenergy.cli as cli_module
 import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
+import sqenergy.spectral as spectral_module
 from sqenergy.bounds import certify
 from sqenergy.cli import ENERGIES_CSV_HEADER, SURVEY_CSV_HEADER, _build_parser, main
 from sqenergy.enumeration import enumerate_connected
@@ -399,6 +399,19 @@ class TestEnergiesWindows:
         assert blocks[0][1] == "\n".join(rows[:2]) + "\n"
         assert "".join(text for _, text in blocks) == "\n".join(rows) + "\n"
 
+    def test_no_graph_is_built(self, capsys, monkeypatch, energies_lines):
+        path, lines = energies_lines
+        want = per_graph_rows(lines, False)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("energies built a graph or an adjacency matrix")
+
+        monkeypatch.setattr(graphs_module.Graph, "__init__", unused)
+        for module in (graphs_module, spectral_module):
+            monkeypatch.setattr(module, "_unpack_rows", unused)
+        monkeypatch.setattr(graphs_module, "from_graph6", unused)
+        assert run(capsys, "energies", str(path)) == (0, want, "")
+
     def test_an_order_above_the_dense_cap_stops_its_window(self, capsys, monkeypatch):
         # windows of 1, 2 and 4 graphs: the order-7 graph is in the third window,
         # so the order-3 graph before it in that window prints no row
@@ -407,6 +420,40 @@ class TestEnergiesWindows:
         code, out, err = run(capsys, "energies", *(a for line in lines for a in ("--g6", line)))
         assert code == 1 and out == per_graph_rows(lines[:3], False)
         assert err == "sqenergy: error: order 7 exceeds the dense matrix cap of 6 vertices\n"
+
+
+MALFORMED = {
+    "empty": ">>graph6<<",
+    "bad-header-byte": "#",
+    "truncated-order": "~A",
+    "non-canonical-order": "~???",
+    "truncated-payload": "B",
+    "trailing-garbage": "Bww",
+    "invalid-payload-byte": "C\x7f",
+    "padding-bit": "Bx",
+}
+
+
+class TestOneGraph6Validator:
+    """``energies`` reads payloads and ``certify`` reads graphs, through one validator."""
+
+    @pytest.mark.parametrize("source", ["file", "--g6", "stdin"])
+    @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_energies_and_certify_report_a_bad_line_alike(
+        self, capsys, monkeypatch, tmp_path, source, bad
+    ):
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6(bad)
+        text = f"{K4}\n{bad}\n"
+        path = tmp_path / "bad.g6"
+        path.write_text(text, encoding="ascii")
+        argv = {"file": [str(path)], "--g6": ["--g6", K4, "--g6", bad], "stdin": []}[source]
+        name = {"file": str(path), "--g6": "--g6", "stdin": "<stdin>"}[source]
+        for subcommand in ("energies", "certify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, subcommand, *argv)
+            assert (code, err) == (1, f"sqenergy: error: {name}, line 2: {exc.value}\n")
+            assert out[-1].startswith(K4)  # the good line before it is printed
 
 
 class TestScan:
@@ -672,7 +719,7 @@ class TestParser:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
 
     @pytest.mark.parametrize("subcommand", ["scan", "unicyclic-min"])
     @pytest.mark.parametrize("threads", ["0", "3", "100000"])

@@ -21,19 +21,26 @@ from sqenergy.families import (
     path_graph,
     star_graph,
 )
-from sqenergy.graphs import complement, from_edges, from_graph6
+from sqenergy.graphs import (
+    _g6_payload,
+    _unpack_rows,
+    complement,
+    from_edges,
+    from_graph6,
+    to_graph6,
+)
 from sqenergy.spectral import (
     EXACT_ORDER_CAP,
     ZERO_TOL_FLOOR,
     IntPolynomial,
     Spectrum,
+    _g6_spectra,
     char_poly_exact,
     eigenvalues,
     energy_profile,
     graph_profile,
     perron_vector,
     rank_exact,
-    spectra,
     spectra_and_ranks,
     spectrum_from_values,
     zero_tolerance,
@@ -448,8 +455,13 @@ def _bits(spectrum: Spectrum) -> tuple:
     return tuple(v.hex() for v in spectrum.values), spectrum.zero_tol.hex()
 
 
+def _payloads(corpus: list) -> list[tuple[int, int]]:
+    return [_g6_payload(to_graph6(g)) for g in corpus]
+
+
 class TestSpectra:
-    """The spectra-only stacked path against the per-graph eigenvalues."""
+    """The stacked paths, from graphs with ranks and from graph6 payloads
+    (``energies``), against the per-graph eigenvalues."""
 
     @staticmethod
     def mixed_orders() -> list:
@@ -460,24 +472,29 @@ class TestSpectra:
 
     def test_bit_for_bit_the_per_graph_spectra(self):
         corpus = self.mixed_orders()
+        payloads = _payloads(corpus)
         want = [_bits(eigenvalues(g)) for g in corpus]
-        assert [_bits(s) for s in spectra(corpus)] == want
-        for k in (1, 3, 64, 256):  # the stream cut into windows of k graphs
-            got = [_bits(s) for lo in range(0, len(corpus), k) for s in spectra(corpus[lo : lo + k])]
-            assert got == want, k
+        assert [_bits(s) for s in _g6_spectra(payloads)] == want
         assert [_bits(s) for s, _ in spectra_and_ranks(corpus)] == want
-        assert spectra([]) == []
+        for k in (1, 3, 64, 256):  # the stream cut into windows of k graphs
+            windows = range(0, len(corpus), k)
+            got = [_bits(s) for lo in windows for s in _g6_spectra(payloads[lo : lo + k])]
+            assert got == want, k
+            got = [_bits(s) for lo in windows for s, _ in spectra_and_ranks(corpus[lo : lo + k])]
+            assert got == want, k
+        assert _g6_spectra([]) == spectra_and_ranks([]) == []
 
     def test_one_eigvalsh_per_order_and_no_stack_above_the_exact_cap(self, monkeypatch):
         corpus = self.mixed_orders()
+        payloads = _payloads(corpus)
         big = [g.n for g in corpus if g.n > EXACT_ORDER_CAP]
         small = {g.n for g in corpus if g.n <= EXACT_ORDER_CAP}
         shapes = []
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
-        for stacked in (spectra, spectra_and_ranks):
+        for stacked in (lambda: _g6_spectra(payloads), lambda: spectra_and_ranks(corpus)):
             shapes.clear()
-            stacked(corpus)
+            stacked()
             stacks = [s for s in shapes if len(s) == 3]
             assert sorted(s[1] for s in stacks) == sorted(small)
             assert sum(s[0] for s in stacks) == len(corpus) - len(big)
@@ -485,15 +502,48 @@ class TestSpectra:
 
     def test_no_ranks_are_computed(self, monkeypatch):
         def no_ranks(a):
-            raise AssertionError("spectra ranked a stack")
+            raise AssertionError("the payload path ranked a stack")
 
         monkeypatch.setattr(spectral_module, "_bareiss_ranks", no_ranks)
         corpus = [complete_graph(n) for n in (1, 5, 22)]
-        assert spectra(corpus) == [eigenvalues(g) for g in corpus]
+        assert _g6_spectra(_payloads(corpus)) == [eigenvalues(g) for g in corpus]
 
     def test_the_dense_cap_is_read_when_called(self, monkeypatch):
         monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 4)
-        assert spectra([path_graph(4)]) == [eigenvalues(path_graph(4))]
-        for solve in (spectra, spectra_and_ranks):
+        assert _g6_spectra(_payloads([path_graph(4)])) == [eigenvalues(path_graph(4))]
+        corpus = [path_graph(3), path_graph(5)]
+        for solve in (lambda: _g6_spectra(_payloads(corpus)), lambda: spectra_and_ranks(corpus)):
             with pytest.raises(ValueError, match="^order 5 exceeds the dense matrix cap of 4 vertices$"):
-                solve([path_graph(3), path_graph(5)])
+                solve()
+
+
+class TestPayloadStacks:
+    """graph6 payloads unpacked straight into lower triangles, orders 0 to 70."""
+
+    @staticmethod
+    def seeded_groups() -> dict[int, list]:
+        rng = random.Random(20261021)
+        return {
+            n: [_random_graph(rng, n, p) for p in (0.0, 0.2, 0.5, 0.9, 1.0)]
+            for n in range(71)
+        }
+
+    def test_the_stack_is_the_lower_triangle_of_the_adjacency_stack(self):
+        for n, group in self.seeded_groups().items():
+            xs = [x for _, x in _payloads(group)]
+            a = graphs_module._g6_lower_triangles(xs, n)
+            assert a.dtype == np.float64 and a.shape == (len(group), n, n)
+            assert np.array_equal(a, np.tril(_unpack_rows(group, n)).astype(float)), n
+
+    def test_the_payload_bit_count_is_the_edge_count(self):
+        for n, group in self.seeded_groups().items():
+            assert [(m, x.bit_count()) for (m, x), g in zip(_payloads(group), group)] == [
+                (n, g.m) for g in group
+            ]
+
+    def test_spectra_equal_the_per_graph_eigenvalues_bit_for_bit(self):
+        corpus = [g for group in self.seeded_groups().values() for g in group]
+        random.Random(7).shuffle(corpus)
+        assert [_bits(s) for s in _g6_spectra(_payloads(corpus))] == [
+            _bits(eigenvalues(g)) for g in corpus
+        ]

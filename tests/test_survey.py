@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import multiprocessing
 import os
 import random
 import subprocess
@@ -94,7 +93,7 @@ class TestSurvey:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for threads=2")
     def test_a_script_on_stdin_is_rejected_before_the_pool_starts(self):
-        # its workers could not re-import "<stdin>"; the pool would replace them without end
+        # its workers could not re-import "<stdin>"; the error names why, before any starts
         script = (
             "from sqenergy import enumerate_connected, survey\n"
             "survey(enumerate_connected(4), threads=2)\n"
@@ -106,6 +105,24 @@ class TestSurvey:
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1] == (
             "ValueError: threads > 1 needs a __main__ that workers can import, not '<stdin>'"
+        )
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for threads=2")
+    def test_an_unguarded_script_stops_with_a_broken_pool(self, tmp_path):
+        # each worker re-runs the survey call while it imports the script and
+        # dies; the pool reports that instead of replacing workers without end
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from sqenergy import enumerate_connected, survey\n"
+            "survey(enumerate_connected(4), threads=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(survey_module.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.splitlines()[-1].startswith(
+            "concurrent.futures.process.BrokenProcessPool: "
         )
 
     @pytest.mark.parametrize("threads", [0, -3, 3])
@@ -120,7 +137,7 @@ class TestSurvey:
             yield
 
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing.get_context("spawn"), "Pool", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(
             ValueError, match=rf"^threads must be between 1 and 2 \(the CPU count\), got {threads}$"
         ):
