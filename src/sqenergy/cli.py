@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import json
 import os
 import stat
@@ -19,6 +21,7 @@ import tempfile
 from typing import IO, Iterable, Iterator, Optional
 
 from .bounds import _wanted_rules, m0_threshold
+from .canon import canonical_pair
 from .enumeration import (
     _check_connected_order,
     _check_unicyclic_order,
@@ -26,7 +29,7 @@ from .enumeration import (
     enumerate_unicyclic_nonbipartite,
 )
 from .families import FAMILIES, generate_family
-from .graphs import Graph, Graph6Error, _g6_graph, _read_g6_payloads, to_graph6
+from .graphs import Graph, Graph6Error, _g6_graph, _read_g6_payloads, from_graph6, to_graph6
 from .partitions import (
     Partition,
     coarsest_equitable_refinement,
@@ -37,6 +40,7 @@ from .partitions import (
 from .spectral import _g6_spectra, energy_profile
 from .survey import (
     SurveyRecord,
+    SurveyReport,
     _certified,
     _check_threads,
     _windows,
@@ -239,8 +243,33 @@ def _record_sink(path: Optional[str]):
         yield sink
 
 
+def _canonical_witnesses(report: SurveyReport) -> SurveyReport:
+    """``report`` with each minimiser, ties included, in canonical labelling.
+
+    ``enumerate_unicyclic_nonbipartite`` emits its classes unlabelled, so
+    this is where its printed witnesses get their canonical graph6: one
+    ``canonical_pair`` call per tie.  A canonically labelled graph is its
+    own canonical form, so ``scan``'s witnesses come out as they went in.
+    """
+
+    def canonical(ties: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(to_graph6(canonical_pair(from_graph6(g6))[1]) for g6 in ties)
+
+    plus, minus = canonical(report.min_s_plus_ties), canonical(report.min_s_minus_ties)
+    # the survey's witness is the first of its ties
+    return dataclasses.replace(
+        report,
+        min_s_plus_g6=plus[0],
+        min_s_plus_ties=plus,
+        min_s_minus_g6=minus[0],
+        min_s_minus_ties=minus,
+    )
+
+
 def _cmd_survey(args: argparse.Namespace, out: IO[str]) -> int:
-    """``scan`` and ``unicyclic-min``: one survey row per order.
+    """``scan`` and ``unicyclic-min``: one survey row per order, its
+    minimisers canonically labelled.  The ``--records`` lines keep the
+    enumerator's labelling.
 
     Every order, the thread count and the records file are checked
     before anything is written to ``out``.  The records and the output
@@ -265,6 +294,7 @@ def _cmd_survey(args: argparse.Namespace, out: IO[str]) -> int:
             print(header, file=out)
         for n in orders:
             report = survey(args.enumerate(n), threads=args.threads, record_sink=sink)
+            report = _canonical_witnesses(report)
             for flag in report.rounding_flags:
                 print(f"sqenergy: note: {flag}", file=sys.stderr)
             if args.json:
@@ -358,8 +388,11 @@ def _cmd_m0_curve(args: argparse.Namespace, out: IO[str]) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # the shared arguments, each declared once: every subcommand takes -o,
+    # built once per process: parse_args leaves the tree as it was, and
+    # --g6's append starts each call from its default of None.
+    # The shared arguments, each declared once: every subcommand takes -o,
     # all but ``family`` take --json, and most of those read graphs or orders
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", metavar="PATH", help="write data here instead of stdout")

@@ -15,11 +15,13 @@ sequences around the cycle are equal up to rotation and reflection
 numbered once per call by (size, sorted tuple of child ids), so equal
 trees get equal ids (the code of Aho, Hopcroft & Ullman, 1974); each
 class is then the one id sequence that is least among its 2c dihedral
-images (a bracelet).  Each bracelet's graph is labelled canonically
-once, for the representative and the sort key.
+images (a bracelet).  Each bracelet's graph is emitted as it is built,
+with no canonical labelling: the cycle is ``0..c-1`` and the trees'
+other vertices follow.
 
-Each order's last level, and each cycle length's classes, are sorted by
-canonical key, so two runs emit byte-identical sequences.
+Each connected order's last level is sorted by canonical key, and the
+unicyclic classes come in cycle length, then bracelet order, so two runs
+emit byte-identical sequences.
 """
 
 from __future__ import annotations
@@ -70,18 +72,18 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 def enumerate_unicyclic_nonbipartite(n: int) -> Iterator[Graph]:
     """Connected unicyclic graphs of order n with an odd cycle, up to isomorphism.
 
-    One class per bracelet of rooted trees around each odd cycle length.
-    Emitted by cycle length, then sorted canonical key.  Orders 3 to 18
-    are supported; each order takes about three times as long as the
-    one before.
+    One class per bracelet of rooted trees around each odd cycle length,
+    emitted as it is found: by cycle length, then bracelet order.  The
+    graphs are not canonically labelled: the cycle is ``0..c-1``, then
+    come the trees, one after another around it (see ``_unicyclic``).
+    Orders 3 to 18 are supported; each order takes about three times as
+    long as the one before.
     """
     _check_unicyclic_order(n)
     size, parents = _rooted_trees(n - 2)
     for c in range(3, n + 1, 2):
-        level = [canonical_pair(_unicyclic(seq, parents)) for seq in _bracelets(c, n, size)]
-        level.sort(key=lambda pair: pair[0])
-        for _, g in level:
-            yield g
+        for seq in _bracelets(c, n, size):
+            yield _unicyclic(seq, parents)
 
 
 def _rooted_trees(max_size: int) -> tuple[list[int], list[tuple[int, ...]]]:

@@ -136,7 +136,8 @@ def survey(
 
     Counts the s_plus > s_minus / < / tie split, counts bipartite graphs
     independently, and tracks both minima with their graph6 witnesses
-    (plus any ties within ``TIE_TOL``).  ``record_sink`` receives every
+    (plus any ties within ``TIE_TOL``), each in the stream's labelling
+    and the ties in stream order.  ``record_sink`` receives every
     per-graph record as it is produced.  ``threads`` > 1 fans the
     eigensolves out over processes, preserving order and determinism;
     it must lie between 1 and the CPU count, and its workers must be able

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_enumeration import canonical_unicyclic, g6_stream
 
 from sqenergy.bounds import (
     edge_deletion_bound,
@@ -35,7 +36,6 @@ from sqenergy.graphs import (
     kronecker,
     move_neighbors,
     stats,
-    to_graph6,
 )
 from sqenergy.partitions import Partition, quotient_eigenvalues, quotient_matrix, twin_quotient_spectrum
 from sqenergy.spectral import char_poly_exact, eigenvalues, energy_profile, graph_profile, rank_exact
@@ -81,12 +81,20 @@ TABLE2_EXTENDED = {
     15: (65137, 14.771792, 14.028045),
 }
 
-# sha256 of the graph6 stream (one newline-terminated line per graph) of
-# enumerate_unicyclic_nonbipartite(n); tests/test_enumeration.py pins n <= 12
+# sha256 of the canonicalised graph6 stream (one newline-terminated line per
+# graph, each canonically labelled, sorted by cycle length and canonical key)
+# of enumerate_unicyclic_nonbipartite(n); tests/test_enumeration.py pins n <= 12
 TABLE2_EXTENDED_STREAM_SHA256 = {
     13: "3b38c25fe5107d4c30f3c027327273a8e92e8d574608bd90bbb515c8ad8c4e10",
     14: "6a4b031effd623fb2e24088ae4aebdbe3acce3f75f96a15d2864a2c4426d88f2",
     15: "de8d95f02259e04b1615d4a35cab251d7d2c428a7b77e4850c285991c85ca9fa",
+}
+
+# sha256 of the same stream as emitted, in bracelet labelling and order
+TABLE2_EXTENDED_RAW_STREAM_SHA256 = {
+    13: "37074636b0cf0b2aecd73896ee8ebd6eaa6f0b2752d34e3087a787c369b374ca",
+    14: "2ac6f4ffd87f20db8e7973e1e78453c3d12d5251b1370889f583f74d54936eee",
+    15: "b3a420eba76483cea423c87f0a8b449ebf94d05b35d6fd890fa0b663eb97538a",
 }
 
 
@@ -182,8 +190,10 @@ def test_criterion_02_table2(unicyclic_scan):
 def test_criterion_02_table2_extended():
     for n, (total, min_plus, min_minus) in TABLE2_EXTENDED.items():
         graphs = list(enumerate_unicyclic_nonbipartite(n))
-        stream = "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
-        assert hashlib.sha256(stream).hexdigest() == TABLE2_EXTENDED_STREAM_SHA256[n], f"n={n}"
+        digest = hashlib.sha256(g6_stream(graphs)).hexdigest()
+        assert digest == TABLE2_EXTENDED_RAW_STREAM_SHA256[n], f"n={n}"
+        digest = hashlib.sha256(g6_stream(canonical_unicyclic(graphs))).hexdigest()
+        assert digest == TABLE2_EXTENDED_STREAM_SHA256[n], f"n={n}"
         report = survey(graphs)
         assert report.total == total
         assert abs(report.min_s_plus - min_plus) <= 1e-6

@@ -11,6 +11,7 @@ import pytest
 from _strategies import graphs
 from hypothesis import given
 from hypothesis import strategies as st
+from test_enumeration import canonical_unicyclic
 
 from sqenergy.canon import _refine, canonical_form, canonical_pair, is_isomorphic
 from sqenergy.enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
@@ -306,11 +307,12 @@ def connected_children(k: int):
 
 def unicyclic_children(n: int):
     """Every odd cycle up to order n and every pendant child of each unicyclic
-    class below n: sparse, highly symmetric inputs with many tied leaves."""
+    class below n, canonically labelled: sparse, highly symmetric inputs with
+    many tied leaves."""
     for c in range(3, n + 1, 2):
         yield cycle_graph(c)
     for k in range(3, n):
-        for parent in enumerate_unicyclic_nonbipartite(k):
+        for parent in canonical_unicyclic(enumerate_unicyclic_nonbipartite(k)):
             for v in range(k):
                 yield add_leaf(parent, v)
 

@@ -18,14 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_connected
+from test_enumeration import UNICYCLIC_STREAM_SHA256, canonical_unicyclic, g6_stream
 
 import sqenergy.cli as cli_module
 import sqenergy.enumeration as enumeration_module
 import sqenergy.graphs as graphs_module
 import sqenergy.spectral as spectral_module
 from sqenergy.bounds import certify
+from sqenergy.canon import canonical_pair
 from sqenergy.cli import ENERGIES_CSV_HEADER, SURVEY_CSV_HEADER, _build_parser, main
-from sqenergy.enumeration import enumerate_connected
+from sqenergy.enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
 from sqenergy.graphs import Graph6Error, from_graph6, to_graph6
 from sqenergy.spectral import graph_profile
 from sqenergy.survey import certify_corpus, survey
@@ -561,6 +563,42 @@ class TestUnicyclicMin:
         assert (code, out) == (1, [])
         assert err == "sqenergy: error: unicyclic enumeration capped at n <= 18\n"
 
+    def test_printed_minimisers_are_the_canonical_forms_of_the_survey_witnesses(
+        self, capsys, monkeypatch
+    ):
+        # one canonical labelling per printed witness, ties included, and none elsewhere
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(to_graph6(g))
+            return canonical_pair(g, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "canonical_pair", counted)
+        code, out, _ = run(capsys, "unicyclic-min", "--n", "3-9", "--json")
+        assert code == 0 and len(out) == 7
+        witnessed = []
+        for n, line in zip(range(3, 10), out):
+            printed = json.loads(line)
+            report = survey(enumerate_unicyclic_nonbipartite(n))
+            for field in ("min_s_plus", "min_s_minus"):
+                raw = getattr(report, f"{field}_ties")
+                canonical = [to_graph6(canonical_pair(from_graph6(g6))[1]) for g6 in raw]
+                assert printed[f"{field}_ties"] == canonical
+                assert printed[f"{field}_g6"] == canonical[0]
+                witnessed += raw
+        assert calls == witnessed
+
+    def test_records_hold_the_enumerated_classes_in_bracelet_labelling(self, capsys, tmp_path):
+        dest = tmp_path / "records.jsonl"
+        code, _, _ = run(capsys, "unicyclic-min", "--n", "3-9", "--records", str(dest))
+        assert code == 0
+        records = [json.loads(line) for line in dest.read_text().splitlines()]
+        for n in range(3, 10):
+            lines = [rec["graph6"] for rec in records if rec["n"] == n]
+            assert lines == [to_graph6(g) for g in enumerate_unicyclic_nonbipartite(n)]
+            stream = g6_stream(canonical_unicyclic(from_graph6(g6) for g6 in lines))
+            assert hashlib.sha256(stream).hexdigest() == UNICYCLIC_STREAM_SHA256[n]
+
     def test_unwritable_records_file_prints_nothing(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "records.jsonl"
         code, out, err = run(capsys, "unicyclic-min", "--n", "3", "--records", str(dest))
@@ -749,6 +787,25 @@ class TestParser:
             main(["scan", "--n", "5", "--threads", "bogus"])
         assert exc.value.code == 2
         assert "argument --threads: invalid int value: 'bogus'" in capsys.readouterr().err
+
+    def test_successive_calls_share_one_parser_and_print_what_fresh_processes_do(self, capsys):
+        # no flag or --g6 list is carried from one call to the next
+        argvs = [
+            ["energies", "--g6", TRIANGLE, "--g6", K4],
+            ["certify", "--g6", K4],
+            ["energies", "--json", "--g6", TRIANGLE],
+            ["energies", "--g6", TRIANGLE],
+        ]
+        in_process = [run(capsys, *argv) for argv in argvs]
+        assert _build_parser() is _build_parser()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        for argv, (code, out, err) in zip(argvs, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sqenergy.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, out, err) == (proc.returncode, proc.stdout.splitlines(), proc.stderr)
+        assert in_process[3][1] == in_process[0][1][:2]
 
 
 # The command line's surface: per subcommand, each option by dest as

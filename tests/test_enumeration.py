@@ -11,7 +11,7 @@ import pytest
 
 import sqenergy.canon
 import sqenergy.enumeration
-from sqenergy.canon import canonical_form
+from sqenergy.canon import canonical_form, canonical_pair
 from sqenergy.enumeration import (
     CONNECTED_MAX_N,
     UNICYCLIC_MAX_N,
@@ -28,9 +28,12 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 # connected non-bipartite unicyclic graphs by order
 UNICYCLIC_COUNTS = {3: 1, 4: 1, 5: 4, 6: 8, 7: 23, 8: 55, 9: 155, 10: 403, 11: 1116, 12: 3029}
 
-# sha256 of the graph6 stream (one line per graph, newline-terminated) of
-# enumerate_unicyclic_nonbipartite(n); every unicyclic enumerator so far
-# (global dedupe, canonical augmentation, bracelets of rooted trees) emitted it
+# sha256 of the canonicalised graph6 stream (one line per graph,
+# newline-terminated) of enumerate_unicyclic_nonbipartite(n): each graph
+# through canonical_pair, sorted by (cycle length, canonical key).  Every
+# unicyclic enumerator so far (global dedupe, canonical augmentation,
+# bracelets of rooted trees, labelled or not) gives it, so these pin the
+# classes and their order
 UNICYCLIC_STREAM_SHA256 = {
     3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
     4: "2229daff9fc1aa3aec2fd43e4fc86f64cacec28d61ea4f33e05cbafb2319dc53",
@@ -44,6 +47,20 @@ UNICYCLIC_STREAM_SHA256 = {
     12: "479bf4f0757e51679ec36b000e8afb229e744df4a0150341a8f199b456c2abcb",
 }
 
+# sha256 of the graph6 stream as emitted, in bracelet labelling and order
+UNICYCLIC_RAW_STREAM_SHA256 = {
+    3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
+    4: "8da9e43410b550734a2f53eb24dc228eaa06f123c558c770c7ac1f6937bc066a",
+    5: "b67eff2c3b10dbce2e47fb8e0455cb89d4ff5fb4216b92dce5cba9acfa27dfba",
+    6: "6d1d643ca1bf3ae62d5b567b485c22196b3b2b07490b1919414baffc9bdb6d7b",
+    7: "ef3801611df09bdd6ff43266931d7a1671be620de51da047cfe398733134c320",
+    8: "4ea2e6c7678c30b9944e3fa4e7ece42b63d8e98d9fac8d29d290e31d8b4ec20d",
+    9: "e28d19c1538db3a870eaa4346aabff67b589def23321ff8476231feed3a86f90",
+    10: "3037cdb582a3ba3e05088b663818ce2bcd51393bb04b838777ae3724bab64f41",
+    11: "9b60f6744ea7eca11d3e4b30d97cd684c6acc6d82816593914a93cd97774163f",
+    12: "0e479895c825965ce52aa5ee7778343ce1513c555c1911973e5f195e4ef843c4",
+}
+
 
 # unicyclic_count(n) for n = 3..18, from the Polya count below
 POLYA_COUNTS = [1, 1, 4, 8, 23, 55, 155, 403, 1116, 3029, 8417, 23285, 65137, 182211, 512625, 1444444]
@@ -55,6 +72,13 @@ def _no_search(*args, **kwargs):
 
 def g6_stream(graphs) -> bytes:
     return "".join(to_graph6(g) + "\n" for g in graphs).encode("ascii")
+
+
+def canonical_unicyclic(graphs) -> list:
+    """Unicyclic ``graphs`` canonically labelled, sorted by (cycle length,
+    canonical key): the order and labelling the enumerator once emitted."""
+    labelled = sorted((len(cactus_profile(g).cycles[0]), *canonical_pair(g)) for g in graphs)
+    return [canon for _, _, canon in labelled]
 
 
 def rooted_tree_counts(n_max: int) -> list[int]:
@@ -182,9 +206,9 @@ class TestUnicyclic:
 
     @pytest.mark.skipif(
         os.environ.get("SQENERGY_EXTENDED") != "1",
-        reason="orders 14 and 15; set SQENERGY_EXTENDED=1 to run",
+        reason="orders 14 to 17; set SQENERGY_EXTENDED=1 to run",
     )
-    @pytest.mark.parametrize("n", [14, 15])
+    @pytest.mark.parametrize("n", [14, 15, 16, 17])
     def test_counts_match_the_polya_count_extended(self, n):
         assert sum(1 for _ in enumerate_unicyclic_nonbipartite(n)) == unicyclic_count(n)
 
@@ -218,8 +242,10 @@ class TestUnicyclic:
 
     @pytest.mark.parametrize("n", sorted(UNICYCLIC_STREAM_SHA256))
     def test_stream_is_pinned(self, n):
-        digest = hashlib.sha256(g6_stream(enumerate_unicyclic_nonbipartite(n))).hexdigest()
-        assert digest == UNICYCLIC_STREAM_SHA256[n]
+        graphs = list(enumerate_unicyclic_nonbipartite(n))
+        assert hashlib.sha256(g6_stream(graphs)).hexdigest() == UNICYCLIC_RAW_STREAM_SHA256[n]
+        stream = g6_stream(canonical_unicyclic(graphs))
+        assert hashlib.sha256(stream).hexdigest() == UNICYCLIC_STREAM_SHA256[n]
 
     def test_classes_at_the_order_cap_have_rows_wider_than_16_bits(self):
         # bits() walks rows of 2^16 and up instead of reading its tables
@@ -237,23 +263,26 @@ class TestUnicyclic:
                 keys.add(canonical_form(g))
             assert len(keys) == unicyclic_class_count(n, c)
 
-    def test_canonical_labelling_runs_on_few_children(self, monkeypatch):
-        # one canonical labelling per class, and no second form
-        calls = {"canonical_pair": 0, "canonical_form": 0}
-
-        def counting(module, name):
-            search = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return search(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        counting(sqenergy.enumeration, "canonical_pair")
-        counting(sqenergy.canon, "canonical_form")
+    def test_makes_no_canonical_labelling(self, monkeypatch):
+        for module, name in (
+            (sqenergy.enumeration, "canonical_pair"),
+            (sqenergy.canon, "canonical_pair"),
+            (sqenergy.canon, "canonical_form"),
+        ):
+            monkeypatch.setattr(module, name, _no_search)
         assert sum(1 for _ in enumerate_unicyclic_nonbipartite(12)) == UNICYCLIC_COUNTS[12]
-        assert calls == {"canonical_pair": UNICYCLIC_COUNTS[12], "canonical_form": 0}
+
+    def test_first_class_comes_before_the_second_is_built(self, monkeypatch):
+        built = []
+        build = sqenergy.enumeration._unicyclic
+
+        def counted(seq, parents):
+            built.append(seq)
+            return build(seq, parents)
+
+        monkeypatch.setattr(sqenergy.enumeration, "_unicyclic", counted)
+        g = next(enumerate_unicyclic_nonbipartite(UNICYCLIC_MAX_N))
+        assert g.n == UNICYCLIC_MAX_N and len(built) == 1
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.setattr(sqenergy.enumeration, "canonical_pair", _no_search)
