@@ -11,13 +11,14 @@ module's ``__all__`` is the one list of its public names.
 
 from __future__ import annotations
 
-from . import bounds, canon, enumeration, families, graphs, partitions, spectral
+from . import bounds, canon, enumeration, families, graphs, lemmas, partitions, spectral
 from . import survey as _survey  # the survey function below takes the module's name
 from .bounds import *
 from .canon import *
 from .enumeration import *
 from .families import *
 from .graphs import *
+from .lemmas import *
 from .partitions import *
 from .spectral import *
 from .survey import *
@@ -26,6 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = ["__version__"] + [
     name
-    for module in (graphs, families, spectral, partitions, bounds, canon, enumeration, _survey)
+    for module in (graphs, families, spectral, partitions, bounds, lemmas, canon, enumeration, _survey)
     for name in module.__all__
 ]

@@ -1,10 +1,9 @@
 """Structural lower bounds for the square energies, as checkable certificates.
 
-Every check either returns a :class:`BoundCertificate` (or a small result
-record for the interlacing-style bounds) or reports inapplicability with
-``None``.  A certificate is *conclusive* when its bound already reaches
-n - 1, the conjectured floor for both square energies of a connected
-graph.  Checks only ever under-promise: the certified value is a true
+Every check either returns a :class:`BoundCertificate` or reports
+inapplicability with ``None``.  A certificate is *conclusive* when its
+bound already reaches n - 1, the conjectured floor for both square
+energies of a connected graph.  Checks only ever under-promise: the certified value is a true
 lower bound whenever the stated hypotheses hold, and the hypotheses are
 verified here rather than assumed.
 """
@@ -13,10 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .graphs import (
     CactusProfile,
@@ -29,25 +25,17 @@ from .graphs import (
     bits,
     complement,
     component_masks,
-    delete_edge,
     induced_subgraph,
-    kronecker,
-    move_neighbors,
     stats,
 )
-from .partitions import Partition, quotient_eigenvalues, quotient_matrix
 from .spectral import (
     EXACT_ORDER_CAP,
     EnergyProfile,
     Inertia,
-    IntPolynomial,
     Spectrum,
     eigenvalues,
     energy_profile,
-    graph_profile,
-    perron_vector,
     rank_exact,
-    spectrum_from_values,
 )
 
 __all__ = [
@@ -55,28 +43,16 @@ __all__ = [
     "GraphFacts",
     "BoundCertificate",
     "PairBound",
-    "EdgeDeletionBound",
-    "MovingNeighborsBound",
-    "ExtendedBarbellForm",
-    "H3nAnalysis",
     "check_avg_degree",
     "max_clique",
     "check_spanning_structures",
     "check_join",
     "check_self_join",
-    "check_kronecker",
-    "edge_deletion_bound",
-    "moving_neighbors_bound",
-    "induced_subgraph_bound",
     "induced_bipartite_bound",
-    "quotient_bound",
-    "m0_threshold",
     "unicyclic_fractional_bound",
     "majorization_two_positive",
     "energy_count_bound",
     "rank_bound",
-    "extended_barbell_closed_form",
-    "h3n_quotient_analysis",
     "certify",
     "CERTIFY_RULES",
 ]
@@ -350,7 +326,7 @@ def check_spanning_structures(g: Graph | GraphFacts) -> list[BoundCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# joins and products
+# joins
 
 
 def _check_partition(g: Graph, split: tuple[Iterable[int], Iterable[int]]) -> int:
@@ -453,124 +429,8 @@ def check_self_join(
     return None
 
 
-def check_kronecker(g: Graph, factors: tuple[Graph, Graph]) -> Optional[BoundCertificate]:
-    """Certify both energies of a tensor product from its factors.
-
-    The caller supplies the factorization; it is verified label for
-    label.  When both factors have at least 3 vertices and themselves
-    satisfy the n - 1 floor numerically, the product identity
-    s_plus(GxH) = s+s+ + s-s- (and its s_minus twin) gives the bound
-    2 (|G| - 1)(|H| - 1) >= |G||H| - 1 for both targets.
-    """
-    ga, gb = factors
-    if kronecker(ga, gb).rows != g.rows or g.n != ga.n * gb.n:
-        raise ValueError("supplied factors do not multiply to the given graph")
-    na, nb = ga.n, gb.n
-    if na < 3 or nb < 3:
-        return None
-    pa, pb = graph_profile(ga), graph_profile(gb)
-    if not all(_meets_floor(min(p.s_plus, p.s_minus), h.n) for p, h in ((pa, ga), (pb, gb))):
-        return None
-    bound = 2 * (na - 1) * (nb - 1)
-    witness = {
-        "factor_orders": [na, nb],
-        "factor_profiles": [[pa.s_plus, pa.s_minus], [pb.s_plus, pb.s_minus]],
-    }
-    return _certificate("kronecker", "both", bound, witness, g.n)
-
-
 # ---------------------------------------------------------------------------
-# perturbation bounds (edge deletion, neighbour moving)
-
-
-@dataclass(frozen=True)
-class EdgeDeletionBound:
-    """What adding the edge back to H = g - e is guaranteed to keep."""
-
-    s_plus_lower: float
-    s_minus_lower: float
-    theta_2: float
-    theta_n: float
-
-
-def edge_deletion_bound(g: Graph, e: tuple[int, int]) -> Optional[EdgeDeletionBound]:
-    """Lower bounds for s_plus(g), s_minus(g) from the edge-deleted graph.
-
-    With H = g - e and spectrum theta, s_plus(g) >= s_plus(H) - theta_2^2
-    and s_minus(g) >= s_minus(H) - theta_n^2, provided H has at least two
-    positive and two negative eigenvalues (otherwise inapplicable).
-    """
-    h = delete_edge(g, e)
-    spec = eigenvalues(h)
-    prof = energy_profile(spec)
-    if prof.inertia.positive < 2 or prof.inertia.negative < 2:
-        return None
-    theta2 = spec.values[1]
-    thetan = spec.values[-1]
-    return EdgeDeletionBound(
-        s_plus_lower=prof.s_plus - theta2 * theta2,
-        s_minus_lower=prof.s_minus - thetan * thetan,
-        theta_2=theta2,
-        theta_n=thetan,
-    )
-
-
-@dataclass(frozen=True)
-class MovingNeighborsBound:
-    """Bounds for the graph obtained by rewiring w_set from v to u.
-
-    The weak s_plus bound always holds; the strong one (losing only
-    lambda_2^2 instead of lambda_1^2) needs one of two side conditions,
-    recorded in ``strong_condition`` when met.
-    """
-
-    s_plus_lower_weak: float
-    s_plus_lower_strong: Optional[float]
-    s_minus_lower: float
-    strong_condition: Optional[str]
-
-
-def moving_neighbors_bound(
-    g: Graph, u: int, v: int, w_set: Iterable[int]
-) -> MovingNeighborsBound:
-    """Bounds for move_neighbors(g, u, v, w_set) in terms of g's spectrum.
-
-    Strong condition (a): the Perron weight of u is at least that of v.
-    Strong condition (b): u's closed neighbourhood misses N(v) entirely
-    and the whole of N(v) is being moved.
-    """
-    ws = sorted(set(w_set))
-    move_neighbors(g, u, v, ws)  # validates the move; raises on a bad pair or w
-    spec = eigenvalues(g)
-    prof = energy_profile(spec)
-    lam1 = spec.values[0]
-    lam2 = spec.values[1] if g.n > 1 else 0.0
-    lamn = spec.values[-1]
-    strong: Optional[str] = None
-    nv = g.rows[v]
-    closed_u = g.rows[u] | (1 << u)
-    if nv & closed_u == 0 and sum(1 << w for w in ws) == nv:
-        strong = "whole_neighbourhood_disjoint"
-    elif stats(g).connected and g.m >= 1:
-        _, x = perron_vector(g)
-        if x[u] >= x[v] - 1e-12 * float(np.max(np.abs(x))):
-            strong = "perron_weight"
-    return MovingNeighborsBound(
-        s_plus_lower_weak=prof.s_plus - lam1 * lam1,
-        s_plus_lower_strong=(prof.s_plus - lam2 * lam2) if strong else None,
-        s_minus_lower=prof.s_minus - lamn * lamn,
-        strong_condition=strong,
-    )
-
-
-# ---------------------------------------------------------------------------
-# subgraph and quotient bounds
-
-
-def induced_subgraph_bound(g: Graph, s: Iterable[int]) -> PairBound:
-    """Square energies of an induced subgraph bound those of g (interlacing)."""
-    prof = graph_profile(induced_subgraph(g, s))
-    return PairBound(prof.s_plus, prof.s_minus)
+# bipartite induced subgraphs
 
 
 def _greedy_odd_cycle_deletions(f: GraphFacts) -> Optional[list[int]]:
@@ -638,29 +498,8 @@ def induced_bipartite_bound(
     )
 
 
-def quotient_bound(g: Graph, x: Partition) -> PairBound:
-    """Square energies of any quotient matrix bound those of g.
-
-    Quotient eigenvalues interlace the adjacency spectrum, so the sums of
-    squared positive / negative quotient eigenvalues are lower bounds.
-    """
-    prof = energy_profile(quotient_eigenvalues(quotient_matrix(g, x)))
-    return PairBound(prof.s_plus, prof.s_minus)
-
-
 # ---------------------------------------------------------------------------
 # odd-cycle (unicyclic) fractional bound
-
-
-def m0_threshold(n: float) -> float:
-    """Smallest cycle half-length making the cosine bound reach n - 1.
-
-    Solves 2 n cos(pi / (2m+1)) / (1 + cos(pi / (2m+1))) = n - 1 for m:
-    m0 = pi / (2 arccos((n-1)/(n+1))) - 1/2.  Grows like sqrt(n).
-    """
-    if n < 3:
-        raise ValueError(f"threshold needs n >= 3, got {n}")
-    return math.pi / (2.0 * math.acos((n - 1.0) / (n + 1.0))) - 0.5
 
 
 def unicyclic_fractional_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
@@ -777,80 +616,6 @@ def rank_bound(g: Graph | GraphFacts) -> Optional[BoundCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the two benchmark families
-
-
-@dataclass(frozen=True)
-class ExtendedBarbellForm:
-    """Closed-form spectrum of the bridge-subdivided double clique.
-
-    Eigenvalues are k-1, -1 with multiplicity n-4, and the three roots of
-    the cubic x^3 - (k-2) x^2 - (k+1) x + 2(k-2).
-    """
-
-    spectrum: Spectrum
-    s_plus: float
-    s_minus: float
-    conclusive: bool
-    cubic_coeffs: tuple[int, int, int, int]
-
-
-def extended_barbell_closed_form(k: int) -> ExtendedBarbellForm:
-    """Spectrum and square energies of the order-(2k+1) extended barbell.
-
-    Verifies, in exact rational arithmetic, the cubic's values that pin
-    the root ordering mu_1 > k-1 > mu_2 > -1 > mu_3 < -9/5, then returns
-    floats.  Both energies clear n - 1 with room (s_plus > 2 (k-1)^2,
-    s_minus > n - 4 + 3.24).
-    """
-    if k < 3:
-        raise ValueError(f"extended barbell needs k >= 3, got {k}")
-    n = 2 * k + 1
-    coeffs = (1, -(k - 2), -(k + 1), 2 * (k - 2))
-    f = IntPolynomial(coeffs)
-    if f(Fraction(k - 1)) != Fraction(-2):
-        raise ArithmeticError("cubic sanity value at k-1 is off")
-    if f(Fraction(-1)) != Fraction(2 * k - 2):
-        raise ArithmeticError("cubic sanity value at -1 is off")
-    if f(Fraction(-9, 5)) != Fraction(14 * k, 25) - Fraction(194, 125):
-        raise ArithmeticError("cubic sanity value at -9/5 is off")
-    mu1, mu2, mu3 = spectrum_from_values(np.roots(np.array(coeffs, dtype=float))).values
-    if not (mu1 > k - 1 > mu2 > -1 > mu3 and mu3 < -9.0 / 5.0 and mu2 > 0):
-        raise ArithmeticError("cubic roots violate the expected ordering")
-    values = [mu1, float(k - 1), mu2] + [-1.0] * (n - 4) + [mu3]
-    spec = spectrum_from_values(values)
-    prof = energy_profile(spec)
-    conclusive = _meets_floor(prof.s_plus, n) and _meets_floor(prof.s_minus, n)
-    return ExtendedBarbellForm(spec, prof.s_plus, prof.s_minus, conclusive, coeffs)
-
-
-@dataclass(frozen=True)
-class H3nAnalysis:
-    """Quotient polynomial data for the triangle-with-pendants family.
-
-    The degree-4 quotient polynomial carries the four non-trivial
-    eigenvalues; the remaining spectrum is -1 once and 0 with
-    multiplicity n - 5.  ``s_minus_gap`` = mu_3^2 + mu_4^2 - (n - 2)
-    measures how far the two negative quotient roots alone sit from the
-    n - 2 floor they would need for a fully spectral proof.
-    """
-
-    poly_coeffs: tuple[int, ...]
-    mu: tuple[float, float, float, float]
-    s_minus_gap: float
-
-
-def h3n_quotient_analysis(n: int) -> H3nAnalysis:
-    """Quotient eigenvalues of the triangle with a pendant star of order n >= 5."""
-    if n < 5:
-        raise ValueError(f"analysis needs n >= 5, got {n}")
-    coeffs = (1, -1, -(n - 1), n - 3, 2 * (n - 4))
-    mu = spectrum_from_values(np.roots(np.array(coeffs, dtype=float))).values
-    gap = mu[2] ** 2 + mu[3] ** 2 - (n - 2)
-    return H3nAnalysis(coeffs, mu, gap)
-
-
-# ---------------------------------------------------------------------------
 # certification pipeline
 
 
@@ -902,10 +667,11 @@ def _wanted_rules(rules: Optional[Iterable[str]]) -> frozenset[str]:
 def certify(g: Graph | GraphFacts, rules: Optional[Iterable[str]] = None) -> list[BoundCertificate]:
     """Run every self-contained certificate rule against one graph.
 
-    Rules that need caller-supplied structure (factorizations, explicit
-    cuts, moves) are not part of this sweep.  ``rules`` filters by name
-    and must name only members of :data:`CERTIFY_RULES`.  Assumes a
-    connected graph, as the n - 1 floor does.
+    Lemmas that need caller-supplied structure (factorizations, explicit
+    cuts, moves) are not part of this sweep; they live in ``lemmas``.
+    ``rules`` filters by name and must name only members of
+    :data:`CERTIFY_RULES`.  Assumes a connected graph, as the n - 1
+    floor does.
     """
     wanted = _wanted_rules(rules)
     f = _facts(g)

@@ -33,7 +33,6 @@ from .graphs import Graph, bits
 __all__ = [
     "canonical_form",
     "canonical_pair",
-    "is_isomorphic",
 ]
 
 
@@ -247,12 +246,3 @@ def canonical_pair(g: Graph, automorphisms: bool = False) -> tuple:
         labels[v] = i
     generators = tuple(tuple([labels[sigma[v]] for v in perm]) for sigma in autos)
     return key, canon, tuple(labels), generators
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test via canonical forms (after cheap invariants)."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
-        return False
-    return canonical_form(g) == canonical_form(h)

@@ -20,7 +20,7 @@ import sys
 import tempfile
 from typing import IO, Iterable, Iterator, Optional
 
-from .bounds import _wanted_rules, m0_threshold
+from .bounds import _wanted_rules
 from .canon import canonical_pair
 from .enumeration import (
     _check_connected_order,
@@ -30,6 +30,7 @@ from .enumeration import (
 )
 from .families import FAMILIES, generate_family
 from .graphs import Graph, Graph6Error, _g6_graph, _read_g6_payloads, from_graph6, to_graph6
+from .lemmas import m0_threshold
 from .partitions import (
     Partition,
     coarsest_equitable_refinement,

@@ -26,20 +26,12 @@ from sqenergy.bounds import (
     certify,
     check_avg_degree,
     check_join,
-    check_kronecker,
     check_self_join,
     check_spanning_structures,
-    edge_deletion_bound,
     energy_count_bound,
-    extended_barbell_closed_form,
-    h3n_quotient_analysis,
     induced_bipartite_bound,
-    induced_subgraph_bound,
-    m0_threshold,
     majorization_two_positive,
     max_clique,
-    moving_neighbors_bound,
-    quotient_bound,
     rank_bound,
     unicyclic_fractional_bound,
 )
@@ -60,14 +52,23 @@ from sqenergy.graphs import (
     component_masks,
     from_edges,
     from_graph6,
+    induced_subgraph,
     join,
     kronecker,
     move_neighbors,
     stats,
     to_graph6,
 )
-from sqenergy.partitions import parse_partition
-from sqenergy.spectral import Inertia, Spectrum, eigenvalues, graph_profile
+from sqenergy.lemmas import (
+    check_kronecker,
+    edge_deletion_bound,
+    extended_barbell_closed_form,
+    h3n_quotient_analysis,
+    m0_threshold,
+    moving_neighbors_bound,
+)
+from sqenergy.partitions import parse_partition, quotient_eigenvalues, quotient_matrix
+from sqenergy.spectral import Inertia, Spectrum, eigenvalues, energy_profile, graph_profile
 
 
 def two_triangles() -> Graph:
@@ -386,20 +387,20 @@ class TestMovingNeighbors:
 
 class TestSubgraphAndQuotient:
     def test_induced_bound_on_complete_graph(self):
-        pb = induced_subgraph_bound(complete_graph(5), [0, 1, 2])
+        sub = graph_profile(induced_subgraph(complete_graph(5), [0, 1, 2]))
         prof = graph_profile(complete_graph(5))
-        assert pb.s_plus_lower == pytest.approx(4.0)
-        assert pb.s_plus_lower <= prof.s_plus and pb.s_minus_lower <= prof.s_minus
+        assert sub.s_plus == pytest.approx(4.0)
+        assert sub.s_plus <= prof.s_plus and sub.s_minus <= prof.s_minus
 
     def test_quotient_bound_exact_on_star(self):
         g = star_graph(5)
-        pb = quotient_bound(g, parse_partition("0;1,2,3,4"))
-        assert pb.s_plus_lower == pytest.approx(4.0)
-        assert pb.s_minus_lower == pytest.approx(4.0)
+        prof = energy_profile(quotient_eigenvalues(quotient_matrix(g, parse_partition("0;1,2,3,4"))))
+        assert prof.s_plus == pytest.approx(4.0)
+        assert prof.s_minus == pytest.approx(4.0)
         # one block: the 1x1 quotient has no negative eigenvalue
-        pb = quotient_bound(g, parse_partition("0,1,2,3,4"))
-        assert pb.s_plus_lower == pytest.approx(64 / 25)
-        assert pb.s_minus_lower == 0.0 and isinstance(pb.s_minus_lower, float)
+        prof = energy_profile(quotient_eigenvalues(quotient_matrix(g, parse_partition("0,1,2,3,4"))))
+        assert prof.s_plus == pytest.approx(64 / 25)
+        assert prof.s_minus == 0.0 and isinstance(prof.s_minus, float)
 
 
 class TestInducedBipartite:

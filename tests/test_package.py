@@ -11,7 +11,7 @@ import sys
 
 import sqenergy
 
-MODULES = ("graphs", "families", "spectral", "partitions", "bounds", "canon", "enumeration", "survey")
+MODULES = ("graphs", "families", "spectral", "partitions", "bounds", "lemmas", "canon", "enumeration", "survey")
 
 
 def test_package_exports_the_union_of_the_module_lists():
@@ -51,3 +51,36 @@ def test_every_imported_name_is_read():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         assert imported <= read, f"{path.name} never reads {sorted(imported - read)}"
+
+
+def _imports(path: pathlib.Path) -> set[str]:
+    """Every module a source file imports: relative ones as ".name"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import name
+            found.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.add("." * node.level + node.module)
+    return found
+
+
+def test_bounds_holds_only_the_sweep_and_lemmas_stay_at_the_edge():
+    package = pathlib.Path(sqenergy.__file__).parent
+    bounds_imports = _imports(package / "bounds.py")
+    assert {name for name in bounds_imports if name.startswith(".")} == {".graphs", ".spectral"}
+    assert not any(name.split(".")[0] == "numpy" for name in bounds_imports)
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("__init__.py", "cli.py"):
+            assert ".lemmas" not in _imports(path), f"{path.name} imports the lemmas"
+    assert sorted(importlib.import_module("sqenergy.partitions").__all__) == sorted(
+        [
+            "Partition",
+            "QuotientMatrix",
+            "parse_partition",
+            "quotient_matrix",
+            "quotient_eigenvalues",
+            "coarsest_equitable_refinement",
+        ]
+    )

@@ -20,16 +20,14 @@ from sqenergy.families import (
     u_n3_graph,
 )
 from sqenergy.graphs import from_edges, relabel
+from sqenergy.lemmas import edge_cut_quotient, find_twins, twin_quotient_spectrum
 from sqenergy.partitions import (
     Partition,
     QuotientMatrix,
     coarsest_equitable_refinement,
-    edge_cut_quotient,
-    find_twins,
     parse_partition,
     quotient_eigenvalues,
     quotient_matrix,
-    twin_quotient_spectrum,
 )
 from sqenergy.spectral import eigenvalues, graph_profile
 
@@ -280,3 +278,6 @@ class TestEdgeCut:
             edge_cut_quotient(g, [0, 1, 2])
         with pytest.raises(ValueError, match="out of range"):
             edge_cut_quotient(g, [5])
+        # three vertices on n = 3 would also fail the size test: the range is named
+        with pytest.raises(ValueError, match=r"^cut side \[0, 1, 5\] out of range for n=3$"):
+            edge_cut_quotient(g, [0, 1, 5])

@@ -14,11 +14,11 @@ import pytest
 
 import sqenergy.bounds as bounds_module
 import sqenergy.spectral as spectral_module
-from sqenergy.bounds import m0_threshold
 from sqenergy.canon import canonical_form
 from sqenergy.enumeration import enumerate_connected
 from sqenergy.families import cycle_graph, path_graph, star_graph
 from sqenergy.graphs import from_graph6, to_graph6
+from sqenergy.lemmas import m0_threshold
 from sqenergy.survey import (
     CoverageReport,
     SurveyReport,
