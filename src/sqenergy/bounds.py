@@ -91,12 +91,12 @@ class GraphFacts:
         self.graph = graph
 
     @_once
-    def _components(self) -> list[list[int]]:
+    def _layering(self) -> tuple[list[list[int]], bool]:
         return _layers(self.graph)
 
     @_once
     def stats(self) -> GraphStats:
-        return _stats(self.graph, self._components)
+        return _stats(self.graph, *self._layering)
 
     @_once
     def spectrum(self) -> Spectrum:
@@ -131,7 +131,7 @@ class GraphFacts:
 
     @_once
     def cactus(self) -> CactusProfile:
-        return _cactus(self.graph, self._components, self.stats.m)
+        return _cactus(self.graph, self._layering[0], self.stats.m)
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:

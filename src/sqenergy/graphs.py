@@ -306,14 +306,18 @@ def complement(g: Graph) -> Graph:
 
 def component_masks(g: Graph) -> list[int]:
     """Connected components as vertex bitsets, ordered by smallest member."""
-    return [sum(layers) for layers in _layers(g)]  # layers are disjoint: sum is union
+    comps, _ = _layers(g)
+    return [sum(layers) for layers in comps]  # layers are disjoint: sum is union
 
 
-def _layers(g: Graph) -> list[list[int]]:
-    """Breadth-first layers (vertex bitsets) of each component from its smallest vertex."""
+def _layers(g: Graph) -> tuple[list[list[int]], bool]:
+    """Breadth-first layers (vertex bitsets) of each component from its
+    smallest vertex, and whether g is bipartite: no layer meets its own
+    vertices' neighbourhoods, so no edge lies inside a layer."""
     rows = g.rows
     todo = (1 << g.n) - 1
     out = []
+    inside = 0
     while todo:
         frontier = reach = todo & -todo
         layers = []
@@ -322,11 +326,12 @@ def _layers(g: Graph) -> list[list[int]]:
             grow = 0
             for u in bits(frontier):
                 grow |= rows[u]
+            inside |= grow & frontier
             frontier = grow & ~reach
             reach |= grow
         out.append(layers)
         todo &= ~reach
-    return out
+    return out, not inside
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -466,19 +471,13 @@ def stats(g: Graph) -> GraphStats:
 
     A graph is bipartite iff no edge lies inside a breadth-first layer.
     """
-    return _stats(g, _layers(g))
+    return _stats(g, *_layers(g))
 
 
-def _stats(g: Graph, comps: list[list[int]]) -> GraphStats:
-    """``stats`` of g from its breadth-first layers ``comps`` (``_layers(g)``)."""
-    rows = g.rows
-    degrees = [r.bit_count() for r in rows]
-    bipartite = True
-    for layers in comps:
-        for layer in layers:
-            for u in bits(layer):
-                if rows[u] & layer:
-                    bipartite = False
+def _stats(g: Graph, comps: list[list[int]], bipartite: bool) -> GraphStats:
+    """``stats`` of g from its breadth-first layering ``comps, bipartite``
+    (``_layers(g)``)."""
+    degrees = [r.bit_count() for r in g.rows]
     return GraphStats(
         m=sum(degrees) // 2,
         max_degree=max(degrees, default=0),
@@ -494,7 +493,7 @@ def cactus_profile(g: Graph) -> CactusProfile:
     tree share no edge: any other cycle is a union of two or more of them.
     Raises on disconnected input.
     """
-    return _cactus(g, _layers(g), g.m)
+    return _cactus(g, _layers(g)[0], g.m)
 
 
 def _cactus(g: Graph, comps: list[list[int]], m: int) -> CactusProfile:

@@ -36,16 +36,17 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
+        owner: dict[int, int] = {}  # vertex -> index of its block
+        for i, block in enumerate(self.blocks):
             if not block:
                 raise ValueError("empty partition block")
             for v in block:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two blocks")
-                seen.add(v)
-        n = len(seen)
-        if seen != set(range(n)):
+                if v in owner:
+                    where = f"twice in block {i}" if owner[v] == i else "in two blocks"
+                    raise ValueError(f"vertex {v} appears {where}")
+                owner[v] = i
+        n = len(owner)
+        if owner.keys() != set(range(n)):
             raise ValueError("partition blocks must cover 0..n-1 exactly")
 
     @property

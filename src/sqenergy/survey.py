@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bounds import CERTIFY_RULES, _meets_floor, _solved_facts, _wanted_rules, certify
-from .graphs import Graph, add_leaf, stats, to_graph6
-from .spectral import graph_profile, spectra_and_ranks
+from .graphs import Graph, GraphStats, add_leaf, stats, to_graph6
+from .spectral import EnergyProfile, graph_profile, spectra_and_ranks
 
 __all__ = [
     "SurveyRecord",
@@ -77,21 +77,9 @@ class SurveyReport:
     rounding_flags: tuple[str, ...]
 
 
-def _record(g: Graph) -> SurveyRecord:
-    prof = graph_profile(g)
-    st = stats(g)
-    return SurveyRecord(
-        graph6=to_graph6(g),
-        n=g.n,
-        m=st.m,
-        s_plus=prof.s_plus,
-        s_minus=prof.s_minus,
-        positive=prof.inertia.positive,
-        zero=prof.inertia.zero,
-        negative=prof.inertia.negative,
-        bipartite=st.bipartite,
-        conjecture_ok=_meets_floor(prof.s_plus, g.n) and _meets_floor(prof.s_minus, g.n),
-    )
+def _solved(g: Graph) -> tuple[Graph, EnergyProfile, GraphStats]:
+    """The one per-graph step of a survey: its eigensolve and its layering."""
+    return g, graph_profile(g), stats(g)
 
 
 class _MinTracker:
@@ -99,20 +87,21 @@ class _MinTracker:
 
     The ties stay in stream order and the first of them is the witness,
     so which graph is printed does not follow the float's last bits.
+    A tag may be any object; ``survey`` offers the graphs themselves.
     """
 
     def __init__(self):
         self.value = math.inf
-        self.near: list[tuple[float, str]] = []
+        self.near: list[tuple[float, object]] = []
 
-    def offer(self, value: float, tag: str) -> None:
+    def offer(self, value: float, tag: object) -> None:
         if value < self.value:
             self.value = value
             self.near = [p for p in self.near if p[0] <= value + TIE_TOL]
         if value <= self.value + TIE_TOL:
             self.near.append((value, tag))
 
-    def result(self) -> tuple[float, str, tuple[str, ...]]:
+    def result(self) -> tuple[float, object, tuple[object, ...]]:
         ties = tuple(t for _, t in self.near)
         return self.value, ties[0] if ties else "", ties
 
@@ -137,42 +126,60 @@ def survey(
     Counts the s_plus > s_minus / < / tie split, counts bipartite graphs
     independently, and tracks both minima with their graph6 witnesses
     (plus any ties within ``TIE_TOL``), each in the stream's labelling
-    and the ties in stream order.  ``record_sink`` receives every
-    per-graph record as it is produced.  ``threads`` > 1 fans the
-    eigensolves out over processes, preserving order and determinism;
-    it must lie between 1 and the CPU count, and its workers must be able
-    to import the calling script (not one read from standard input); both
-    are checked before any graph is read.  Mixed orders in one stream are
-    an error.
+    and the ties in stream order.  Each graph is solved once and layered
+    once; graph6 is written only for the minimisers and ties the report
+    names.  ``record_sink``, when given, receives every per-graph record
+    as it is produced; without one no record is built.  ``threads`` > 1
+    fans the per-graph work out over processes, preserving order and
+    determinism; it must lie between 1 and the CPU count, and its workers
+    must be able to import the calling script (not one read from standard
+    input); both are checked before any graph is read.  Mixed orders in
+    one stream are an error.
     """
     _check_threads(threads)
-    records = _record_stream(graphs, threads)
     n = -1
     total = plus_gt = minus_gt = equal = bip = 0
     tplus = _MinTracker()
     tminus = _MinTracker()
-    for rec in records:
+    for g, prof, st in _solved_stream(graphs, threads):
         if n < 0:
-            n = rec.n
-        elif rec.n != n:
-            raise ValueError(f"survey stream mixes orders {n} and {rec.n}")
+            n = g.n
+        elif g.n != n:
+            raise ValueError(f"survey stream mixes orders {n} and {g.n}")
         total += 1
-        if rec.s_plus > rec.s_minus + TIE_TOL:
+        s_plus, s_minus = prof.s_plus, prof.s_minus
+        if s_plus > s_minus + TIE_TOL:
             plus_gt += 1
-        elif rec.s_minus > rec.s_plus + TIE_TOL:
+        elif s_minus > s_plus + TIE_TOL:
             minus_gt += 1
         else:
             equal += 1
-        if rec.bipartite:
+        if st.bipartite:
             bip += 1
-        tplus.offer(rec.s_plus, rec.graph6)
-        tminus.offer(rec.s_minus, rec.graph6)
+        tplus.offer(s_plus, g)
+        tminus.offer(s_minus, g)
         if record_sink is not None:
-            record_sink(rec)
+            record_sink(
+                SurveyRecord(
+                    graph6=to_graph6(g),
+                    n=n,
+                    m=st.m,
+                    s_plus=s_plus,
+                    s_minus=s_minus,
+                    positive=prof.inertia.positive,
+                    zero=prof.inertia.zero,
+                    negative=prof.inertia.negative,
+                    bipartite=st.bipartite,
+                    conjecture_ok=_meets_floor(s_plus, n) and _meets_floor(s_minus, n),
+                )
+            )
     if total == 0:
         raise ValueError("survey needs at least one graph")
-    vplus, gplus, ties_plus = tplus.result()
-    vminus, gminus, ties_minus = tminus.result()
+    # graph6 only for the graphs the report names; the witness is the first tie
+    vplus, _, ties = tplus.result()
+    ties_plus = tuple(map(to_graph6, ties))
+    vminus, _, ties = tminus.result()
+    ties_minus = tuple(map(to_graph6, ties))
     flags = []
     for label, value in (("min_s_plus", vplus), ("min_s_minus", vminus)):
         flag = _rounding_flag(label, value)
@@ -186,10 +193,10 @@ def survey(
         equal=equal,
         bipartite=bip,
         min_s_plus=vplus,
-        min_s_plus_g6=gplus,
+        min_s_plus_g6=ties_plus[0],
         min_s_plus_ties=ties_plus,
         min_s_minus=vminus,
-        min_s_minus_g6=gminus,
+        min_s_minus_g6=ties_minus[0],
         min_s_minus_ties=ties_minus,
         min_slack=min(vplus, vminus) - (n - 1),
         rounding_flags=tuple(flags),
@@ -202,9 +209,11 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be between 1 and {cpus} (the CPU count), got {threads}")
 
 
-def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyRecord]:
+def _solved_stream(
+    graphs: Iterable[Graph], threads: int
+) -> Iterator[tuple[Graph, EnergyProfile, GraphStats]]:
     if threads == 1:
-        return map(_record, graphs)
+        return map(_solved, graphs)
     # a spawned worker re-imports __main__ by its module name or else from
     # its __file__; name the cause before workers die on "<stdin>"
     main = sys.modules["__main__"]
@@ -212,7 +221,7 @@ def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyReco
     if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
         raise ValueError(f"threads > 1 needs a __main__ that workers can import, not {path!r}")
 
-    def run() -> Iterator[SurveyRecord]:
+    def run() -> Iterator[tuple[Graph, EnergyProfile, GraphStats]]:
         # imported here, where it is used: the module adds about 1.5 MB of RSS
         from concurrent.futures import ProcessPoolExecutor
 
@@ -221,7 +230,7 @@ def _record_stream(graphs: Iterable[Graph], threads: int) -> Iterator[SurveyReco
         # it imports the script) raises BrokenProcessPool here
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(threads, mp_context=context) as pool:
-            yield from pool.map(_record, graphs, chunksize=64)
+            yield from pool.map(_solved, graphs, chunksize=64)
 
     return run()
 

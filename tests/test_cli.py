@@ -1178,6 +1178,10 @@ GOLDEN_SHA256 = {
         ("unicyclic-min", "--n", "3-9", "--json"),
         "15fd5fb48fd6ef9f7784378e85a7c60ca40bdd476bc8ccc181c894e58f0f506f",
     ),
+    "unicyclic-records": (
+        ("unicyclic-min", "--n", "3-9", "--records", "RECORDS"),
+        "14f49482aec78ef4563b7327e543a37248d2b46cc310a2ca4a331a08a25a8eaa",
+    ),
     "m0-csv": (
         ("m0-curve", "--n", "3-40"),
         "730f8931dfcee6d9267deb38a8e3b32f0d4ce8e4a9c41841e7b3c28e521bfe86",

@@ -43,8 +43,10 @@ class TestPartition:
             Partition.of([[0], []])
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="two blocks"):
+        with pytest.raises(ValueError, match="^vertex 1 appears in two blocks$"):
             Partition.of([[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="^vertex 0 appears twice in block 0$"):
+            Partition.of([[0, 0], [1, 2]])
 
     def test_rejects_gaps(self):
         with pytest.raises(ValueError, match="cover 0..n-1"):

@@ -15,7 +15,7 @@ import pytest
 import sqenergy.bounds as bounds_module
 import sqenergy.spectral as spectral_module
 from sqenergy.canon import canonical_form
-from sqenergy.enumeration import enumerate_connected
+from sqenergy.enumeration import enumerate_connected, enumerate_unicyclic_nonbipartite
 from sqenergy.families import cycle_graph, path_graph, star_graph
 from sqenergy.graphs import from_graph6, to_graph6
 from sqenergy.lemmas import m0_threshold
@@ -77,9 +77,33 @@ class TestSurvey:
 
     def test_threads_do_not_change_the_report(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        single = survey(enumerate_connected(6), threads=1)
-        multi = survey(enumerate_connected(6), threads=2)
+        records_single, records_multi = [], []
+        single = survey(enumerate_connected(6), threads=1, record_sink=records_single.append)
+        multi = survey(enumerate_connected(6), threads=2, record_sink=records_multi.append)
         assert single == multi
+        assert len(records_single) == 112 and records_single == records_multi
+
+    @pytest.mark.parametrize(
+        "stream",
+        [lambda: enumerate_connected(7), lambda: enumerate_unicyclic_nonbipartite(9)],
+        ids=["connected7", "unicyclic9"],
+    )
+    def test_graph6_only_for_the_graphs_the_report_names(self, stream, monkeypatch):
+        expected = survey(stream())
+        written = []
+
+        def counted(g):
+            written.append(g)
+            return to_graph6(g)
+
+        def no_record(*args, **kwargs):
+            raise AssertionError("a SurveyRecord was built without a record_sink")
+
+        monkeypatch.setattr(survey_module, "to_graph6", counted)
+        monkeypatch.setattr(survey_module, "SurveyRecord", no_record)
+        report = survey(stream())
+        assert report == expected
+        assert len(written) <= len(report.min_s_plus_ties) + len(report.min_s_minus_ties)
 
     def test_the_pool_starts_its_workers_without_fork(self, monkeypatch):
         # fork copies a process whose BLAS may already run threads
