@@ -38,7 +38,7 @@ from .partitions import (
     quotient_eigenvalues,
     quotient_matrix,
 )
-from .spectral import _g6_spectra, energy_profile
+from .spectral import _g6_spectra, energy_profile, spectra_and_ranks
 from .survey import (
     SurveyRecord,
     SurveyReport,
@@ -94,7 +94,8 @@ def _input_payloads(args: argparse.Namespace) -> Iterator[tuple[str, int, int]]:
     to echo for it (see ``graphs._read_g6_payloads``).
 
     The file-or-``--g6`` conflict and a missing input file raise here,
-    before the caller writes anything.
+    before the caller writes anything.  A file is read as latin-1, one
+    character per byte, so the validator names a non-ASCII byte on its line.
     """
     if args.g6 and args.input:
         raise UsageError("give an input file or --g6 strings, not both")
@@ -106,7 +107,7 @@ def _input_payloads(args: argparse.Namespace) -> Iterator[tuple[str, int, int]]:
                 raise Graph6Error(f"--g6, line {k}: blank graph6 string")
         return _read_g6_payloads(args.g6, "--g6")
     if args.input:
-        return _decode_file(open(args.input, "r", encoding="ascii"), args.input)
+        return _decode_file(open(args.input, "r", encoding="latin-1"), args.input)
     return _read_g6_payloads(sys.stdin, "<stdin>")
 
 
@@ -183,11 +184,17 @@ def _parse_rules(text: Optional[str]) -> Optional[list[str]]:
 
 def _cmd_certify(args: argparse.Namespace, out: IO[str]) -> int:
     """Certificates and verdict per input graph, in input order; read,
-    solved and flushed window by window as ``energies`` is."""
+    solved and flushed window by window as ``energies`` is.  A graph
+    that ``certify`` rejects is named by its input text."""
     rules = _parse_rules(args.rules)
     for window in _windows(_input_graphs(args)):
-        solved = _certified([g for _, g in window], rules)
-        for (g6, g), (facts, certs, plus_ok, minus_ok) in zip(window, solved):
+        graphs = [g for _, g in window]
+        solved = _certified(graphs, spectra_and_ranks(graphs), rules)
+        for g6, g in window:
+            try:
+                facts, certs, plus_ok, minus_ok = next(solved)
+            except ValueError as exc:
+                raise ValueError(f"{g6}: {exc}") from None
             prof = facts.profile
             floor = g.n - 1
             if args.json:

@@ -188,6 +188,11 @@ def _g6_payload(text: str) -> tuple[int, int]:
         raise Graph6Error(f"order {n} exceeds the supported cap {_G6_MAX_N}")
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
+    payload = text[pos : pos + nchars]  # its bytes are checked before its length
+    bitstr = payload.translate(_G6_TO_BITS)
+    if len(bitstr) != 6 * len(payload):  # translate leaves an invalid byte as one char
+        i = next(i for i in range(pos, len(text)) if not 63 <= ord(text[i]) <= 126)
+        raise Graph6Error(f"invalid graph6 byte {ord(text[i])} (byte {i})")
     if len(text) - pos < nchars:
         raise Graph6Error(
             f"truncated graph6 payload: need {nchars} bytes, "
@@ -195,10 +200,6 @@ def _g6_payload(text: str) -> tuple[int, int]:
         )
     if len(text) - pos > nchars:
         raise Graph6Error(f"trailing garbage after graph6 payload (byte {pos + nchars})")
-    bitstr = text[pos:].translate(_G6_TO_BITS)
-    if len(bitstr) != 6 * nchars:  # translate leaves an invalid byte as one char
-        i = next(i for i in range(pos, len(text)) if not 63 <= ord(text[i]) <= 126)
-        raise Graph6Error(f"invalid graph6 byte {ord(text[i])} (byte {i})")
     x = int("0" + bitstr[::-1], 2)  # bit k is graph6 bit k; "0" parses n < 2
     if x >> nbits:
         raise Graph6Error(f"nonzero padding bit (byte {pos + nchars - 1})")
@@ -273,7 +274,8 @@ def _read_g6_payloads(lines: Iterable[str], source: str) -> Iterator[tuple[str, 
     """``read_graph6_lines`` without the graphs: ``(text, n, x)`` per line,
     with ``(n, x)`` as :func:`_g6_payload` gives it."""
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+        # str.isspace's ASCII spaces only: a non-ASCII space is the validator's to name
+        text = line.strip(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
         if not text:
             continue
         try:

@@ -11,7 +11,7 @@ ranks are asked for, up to order 22, one int64 fraction-free elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -99,12 +99,6 @@ def spectrum_from_values(values: Iterable[complex]) -> Spectrum:
 def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of g, non-increasing."""
     return _spectrum(np.linalg.eigvalsh(g.adjacency_matrix())[::-1].tolist())
-
-
-def _stack_spectra(a: np.ndarray) -> list[Spectrum]:
-    """The Spectrum of each symmetric float matrix of a (k, n, n) stack, by
-    one eigvalsh call; eigvalsh reads only the lower triangles."""
-    return [_spectrum(v) for v in np.linalg.eigvalsh(a)[:, ::-1].tolist()]
 
 
 def _spectrum(values: list[float]) -> Spectrum:
@@ -267,60 +261,51 @@ def rank_exact(g: Graph) -> int:
     return rank
 
 
-def _by_order(orders: Iterable[int]) -> dict[int, list[int]]:
-    """The positions of each order in ``orders``."""
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(orders):
-        groups.setdefault(n, []).append(i)
-    return groups
-
-
 def spectra_and_ranks(graphs: Sequence[Graph]) -> list[tuple[Spectrum, Optional[int]]]:
     """Each graph's spectrum, equal to ``eigenvalues(g)``, and its exact
-    rank for orders 1 to 22 (None otherwise).
-
-    Graphs of one order up to 64 are stacked into one (k, n, n) array:
-    one ``eigvalsh`` call solves the stack, and for orders 1 to 22 one
-    int64 fraction-free elimination ranks it.  Orders above 64 take
-    ``eigenvalues`` per graph.  A caller that needs the rank of a graph
-    left without one asks ``rank_exact``, up to its cap.
+    rank for orders 1 to 22 (None otherwise), in the stacks of
+    ``_solved_by_order``.  A caller that needs the rank of a graph left
+    without one asks ``rank_exact``, up to its cap.
     """
-    out: list = [None] * len(graphs)
-    for n, idx in _by_order(g.n for g in graphs).items():
-        group = [graphs[i] for i in idx]
-        ranks = [None] * len(group)
-        if n <= EXACT_ORDER_CAP:
-            a = _unpack_rows(group, n)
-            solved = _stack_spectra(a.astype(float))
-            if 0 < n <= _INT64_RANK_CAP:
-                ranks = _bareiss_ranks(a).tolist()
-        else:
-            solved = [eigenvalues(g) for g in group]
-        for i, spectrum, rank in zip(idx, solved, ranks):
-            out[i] = (spectrum, rank)
-    return out
+    return _solved_by_order([(g.n, g) for g in graphs], _unpack_rows, ranked=True)
 
 
 def _g6_spectra(payloads: Sequence[tuple[int, int]]) -> list[Spectrum]:
     """The spectrum of each graph6 payload ``(n, x)``, equal to
-    ``eigenvalues(from_graph6(text))``, with no graph built.
+    ``eigenvalues(from_graph6(text))``, with no graph built: the stacks
+    of ``_solved_by_order``, filled from the payloads' lower triangles."""
+    return [s for s, _ in _solved_by_order(payloads, _g6_lower_triangles, ranked=False)]
 
-    The stacks of ``spectra_and_ranks``, filled from the payloads' lower
-    triangles: one ``eigvalsh`` call per order up to 64, and one (n, n)
-    matrix at a time above it.
+
+def _solved_by_order(
+    items: Sequence[tuple[int, object]], stack: Callable[[list, int], np.ndarray], ranked: bool
+) -> list[tuple[Spectrum, Optional[int]]]:
+    """``(spectrum, rank)`` for each ``(n, item)``, in order; the rank is
+    exact for orders 1 to 22 when ``ranked``, and None otherwise.
+
+    ``stack(group, n)`` is the (k, n, n) adjacency stack of the order-n
+    items ``group``; unranked, its lower triangles suffice, as ``eigvalsh``
+    reads no more.  The items of one order up to 64 take one ``eigvalsh``
+    call on their stack and, when ranked, up to order 22, one int64
+    fraction-free elimination; each item of a larger order takes one
+    (n, n) call.
     """
-    out: list = [None] * len(payloads)
-    for n, idx in _by_order(n for n, _ in payloads).items():
-        xs = [payloads[i][1] for i in idx]
+    groups: dict[int, list[int]] = {}
+    for i, (n, _) in enumerate(items):
+        groups.setdefault(n, []).append(i)
+    out: list = [None] * len(items)
+    for n, idx in groups.items():
+        group = [items[i][1] for i in idx]
+        ranks = [None] * len(group)
         if n <= EXACT_ORDER_CAP:
-            solved = _stack_spectra(_g6_lower_triangles(xs, n))
+            a = stack(group, n)
+            solved = np.linalg.eigvalsh(a)[:, ::-1].tolist()
+            if ranked and 0 < n <= _INT64_RANK_CAP:
+                ranks = _bareiss_ranks(a).tolist()
         else:
-            solved = [
-                _spectrum(np.linalg.eigvalsh(_g6_lower_triangles([x], n)[0])[::-1].tolist())
-                for x in xs
-            ]
-        for i, spectrum in zip(idx, solved):
-            out[i] = spectrum
+            solved = [np.linalg.eigvalsh(stack([item], n)[0])[::-1].tolist() for item in group]
+        for i, values, rank in zip(idx, solved, ranks):
+            out[i] = (_spectrum(values), rank)
     return out
 
 

@@ -292,15 +292,18 @@ def _windows(items: Iterable) -> Iterator[list]:
         yield window
 
 
-def _certified(window: list[Graph], rules: Optional[Iterable[str]]) -> Iterator[tuple]:
+def _certified(
+    window: list[Graph], solved: list, rules: Optional[Iterable[str]]
+) -> Iterator[tuple]:
     """``(facts, certificates, plus_ok, minus_ok)`` per graph of ``window``:
     its ``GraphFacts``, ``certify``'s list, and whether those certificates
     prove the n - 1 floor for s_plus and for s_minus.
 
-    The window's spectra and exact ranks are solved by one
-    ``spectra_and_ranks`` call.
+    ``solved`` is ``spectra_and_ranks(window)``, one call per window, made
+    by the caller before any graph is certified: a stack's error is raised
+    there, and an error this iterator raises belongs to the graph it is on.
     """
-    for g, (spectrum, rank) in zip(window, spectra_and_ranks(window)):
+    for g, (spectrum, rank) in zip(window, solved):
         facts = _solved_facts(g, spectrum, rank)
         certs = certify(facts, rules=rules)
         plus_ok = minus_ok = False
@@ -327,7 +330,7 @@ def certify_corpus(
     uncovered: list[str] = []
     min_slack = math.inf
     for window in _windows(graphs):
-        for facts, certs, plus_ok, minus_ok in _certified(window, rules):
+        for facts, certs, plus_ok, minus_ok in _certified(window, spectra_and_ranks(window), rules):
             total += 1
             prof = facts.profile
             min_slack = min(min_slack, min(prof.s_plus, prof.s_minus) - (facts.graph.n - 1))

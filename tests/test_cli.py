@@ -202,6 +202,28 @@ class TestCertify:
         assert err == f"sqenergy: usage error: {exc.value}\n"
         assert "unknown rule(s) aa, zz;" in err
 
+    @pytest.mark.parametrize("source", ["--g6", "stdin"])
+    def test_a_disconnected_graph_is_named_by_its_text(self, capsys, monkeypatch, source):
+        _, alone, _ = run(capsys, "certify", "--g6", TRIANGLE)
+        lines = [TRIANGLE, "A?", K4]
+        argv = [a for line in lines for a in ("--g6", line)] if source == "--g6" else []
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+        code, out, err = run(capsys, "certify", *argv)
+        assert (code, out) == (1, alone)
+        assert err == "sqenergy: error: A?: certification assumes a non-empty connected graph\n"
+
+    def test_an_order_above_the_dense_cap_is_not_named_for_a_graph(self, capsys, monkeypatch):
+        # windows of 1, 2 and 4 graphs: the stack of the third window fails
+        # before any of its graphs is certified, and no graph is named for it
+        want = [
+            line for g6 in (TRIANGLE, K4, C5) for line in run(capsys, "certify", "--g6", g6)[1]
+        ]
+        monkeypatch.setattr(graphs_module, "DENSE_ORDER_CAP", 6)
+        lines = [TRIANGLE, K4, C5, TRIANGLE, "F~~~w", K4]
+        code, out, err = run(capsys, "certify", *(a for line in lines for a in ("--g6", line)))
+        assert (code, out) == (1, want)
+        assert err == "sqenergy: error: order 7 exceeds the dense matrix cap of 6 vertices\n"
+
     def test_json_record(self, capsys):
         code, out, _ = run(capsys, "certify", "--json", "--g6", K4)
         assert code == 0
@@ -456,6 +478,27 @@ class TestOneGraph6Validator:
             code, out, err = run(capsys, subcommand, *argv)
             assert (code, err) == (1, f"sqenergy: error: {name}, line 2: {exc.value}\n")
             assert out[-1].startswith(K4)  # the good line before it is printed
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (b"B\xffw", "invalid graph6 byte 255 (byte 1)"),
+            # only ASCII whitespace is stripped: latin-1's NEL and NBSP are bytes to name
+            (b"\x85Bw", "invalid graph6 byte 133 (byte 0)"),
+            (b"\xa0Bw", "invalid graph6 byte 160 (byte 0)"),
+        ],
+        ids=["invalid", "nel", "nbsp"],
+    )
+    def test_a_non_ascii_byte_in_a_file_is_named_on_its_line(self, capsys, tmp_path, bad, message):
+        # a file is read one byte per character, so the bad byte is the
+        # validator's to name, after every line before it is printed
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"Bw\n" + bad + b"\nBw\n")
+        for subcommand in ("energies", "certify"):
+            _, want, _ = run(capsys, subcommand, "--g6", TRIANGLE)
+            code, out, err = run(capsys, subcommand, str(path))
+            assert (code, out) == (1, want)
+            assert err == f"sqenergy: error: {path}, line 2: {message}\n"
 
 
 class TestScan:

@@ -223,11 +223,16 @@ class TestGraph6:
             # a bad byte inside the three- and the six-byte order field
             ("~?#?", "invalid graph6 byte 35 (byte 2)"),
             ("~~????? ", "invalid graph6 byte 32 (byte 7)"),
+            # a bad byte is named before a payload too short or too long
+            ("G?#", "invalid graph6 byte 35 (byte 2)"),
+            ("G?#????", "invalid graph6 byte 35 (byte 2)"),
+            ("B\x07w", "invalid graph6 byte 7 (byte 1)"),
         ],
         ids=[
             "invalid-mid", "invalid-last", "padding", "truncated", "trailing", "invalid-first",
             "long-order-k3", "long-order-62", "order-63", "long-order-258047", "order-258048",
             "invalid-in-order", "invalid-in-long-order",
+            "invalid-before-truncated", "invalid-before-trailing", "control-byte-before-trailing",
         ],
     )
     def test_error_messages_are_pinned(self, text, message):
